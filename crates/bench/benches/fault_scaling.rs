@@ -1,6 +1,6 @@
 //! Criterion bench for the fault/recovery simulator: per-call oracle
-//! (`simulate_phases_faulty` / `simulate_phases_recovering`, one plan
-//! scan + route walk per call) vs the compiled batch engine
+//! ([`PhaseSim::simulate`], faulty and recovering: one plan scan +
+//! route walk per call) vs the compiled batch engine
 //! ([`FaultSim`]: plan compiled to sorted interval buckets, phases
 //! compiled once to flat route slices), across replication counts and
 //! outage-schedule densities.
@@ -70,12 +70,14 @@ fn bench_replay(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("oracle", n), &seeds, |b, seeds| {
             b.iter(|| {
                 for &seed in seeds {
-                    black_box(oracle.simulate_phases_faulty(
+                    black_box(oracle.simulate(
                         &phases,
                         &FaultPlan {
                             seed,
                             ..plan.clone()
                         },
+                        SchedulePolicy::default(),
+                        None,
                     ));
                 }
             })
@@ -96,7 +98,7 @@ fn bench_outage_density(c: &mut Criterion) {
         let plan = dense_plan(&mesh, outages);
         let mut oracle = PhaseSim::new(mesh.clone());
         g.bench_with_input(BenchmarkId::new("oracle", outages), &plan, |b, plan| {
-            b.iter(|| black_box(oracle.simulate_phases_faulty(&phases, plan)))
+            b.iter(|| black_box(oracle.simulate(&phases, plan, SchedulePolicy::default(), None)))
         });
         let mut engine = FaultSim::new(&mesh, &phases, &plan);
         g.bench_with_input(BenchmarkId::new("compiled", outages), &plan, |b, plan| {
@@ -133,13 +135,14 @@ fn bench_recovering(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::new("oracle", 16), &seeds, |b, seeds| {
         b.iter(|| {
             for &seed in seeds {
-                black_box(oracle.simulate_phases_recovering(
+                black_box(oracle.simulate(
                     &phases,
                     &FaultPlan {
                         seed,
                         ..plan.clone()
                     },
-                    &policy,
+                    SchedulePolicy::default(),
+                    Some(&policy),
                 ));
             }
         })

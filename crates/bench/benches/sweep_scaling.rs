@@ -14,8 +14,8 @@ use rescomm::{map_nest_batch, MappingOptions};
 use rescomm_bench::workload::{chained_stencil_nest, host_threads, pipeline_nest};
 use rescomm_loopnest::LoopNest;
 use rescomm_machine::{
-    par_fault_sweep, CostModel, FaultPlan, LinkOutage, Mesh2D, PMsg, PhaseSim, SchedulePolicy,
-    XorShift64,
+    par_fault_sweep_report, CostModel, FaultPlan, LinkOutage, Mesh2D, PMsg, PhaseSim,
+    SchedulePolicy, XorShift64,
 };
 use std::hint::black_box;
 
@@ -75,7 +75,7 @@ fn bench_fault_replay(c: &mut Criterion) {
     let mut g = c.benchmark_group("pool_fault_replay");
     for workers in worker_points() {
         g.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            b.iter(|| black_box(par_fault_sweep(&mesh, &phases, &bank, 8, w, sched)))
+            b.iter(|| black_box(par_fault_sweep_report(&mesh, &phases, &bank, 8, w, sched).0))
         });
     }
     g.finish();

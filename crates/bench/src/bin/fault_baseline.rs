@@ -11,23 +11,24 @@
 //! Three sections:
 //!
 //! * **replay** — multi-seed faulty Monte Carlo: the per-call oracle
-//!   loop (`simulate_phases_faulty` once per seed, linear outage scans,
+//!   loop ([`PhaseSim::simulate`] once per seed, linear outage scans,
 //!   per-call filter+sort+route walks) vs the compiled batch engine
 //!   ([`FaultSim::replay_faulty`]: plan compiled to sorted interval
 //!   buckets, phases compiled once to flat route slices). Full-mode
-//!   rows at ≥64 replications assert the compiled engine is ≥5×.
+//!   rows at ≥64 replications assert the compiled engine is ≥3×.
 //! * **recovering** — the same comparison through the
 //!   checkpoint/rollback path with permanent node deaths.
-//! * **parallel** — [`par_fault_sweep`] wall-clock at 1..8 threads over
-//!   a bank of plans on the shared work-stealing pool (plan×seed task
-//!   sharding; see `machine::pool` and `BENCH_scaling.json` for the
-//!   dedicated scaling study); reports speedup over one thread and
-//!   efficiency against `workers_used` (the pool's post-clamp worker
-//!   count). Rows asking for more workers than the host has hardware
-//!   threads are marked `oversubscribed` in the artifact and excluded
-//!   from the efficiency gate; on a single-core host the multi-thread
-//!   rows are skipped outright (emitted with `skipped: true` and null
-//!   timings) — timing them would measure the OS scheduler, not the
+//! * **parallel** — [`par_fault_sweep_report`] wall-clock at 1..8
+//!   threads over a bank of plans on the shared work-stealing pool
+//!   (plan×seed task sharding; see `machine::pool` and
+//!   `BENCH_scaling.json` for the dedicated scaling study); reports
+//!   speedup over one thread and efficiency against `workers_used` (the
+//!   pool's post-clamp worker count). Rows asking for more workers than
+//!   the host has hardware threads are marked `oversubscribed` in the
+//!   artifact and excluded from the efficiency gate; on a single-core
+//!   host the multi-thread rows are skipped outright (emitted with
+//!   `skipped: true` and null timings) — timing them would measure the
+//!   OS scheduler, not the
 //!   sweep. The thread-count bit-identity gate runs on every host.
 //!
 //! ```text
@@ -47,9 +48,9 @@ use rescomm_bench::workload::host_threads;
 use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_loopnest::examples;
 use rescomm_machine::{
-    mttf_death_schedule, par_fault_sweep, par_fault_sweep_report, replication_seed,
-    CheckpointPolicy, CostModel, FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D, NodeOutage,
-    PMsg, PhaseSim, RetryPolicy, ScheduleMode, SchedulePolicy,
+    mttf_death_schedule, par_fault_sweep_report, replication_seed, CheckpointPolicy, CostModel,
+    FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D, NodeOutage, PMsg, PhaseSim, RetryPolicy,
+    ScheduleMode, SchedulePolicy,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -171,12 +172,14 @@ fn main() {
         seeds
             .iter()
             .map(|&seed| {
-                sim.simulate_phases_faulty(
+                sim.simulate(
                     &phases,
                     &FaultPlan {
                         seed,
                         ..plan.clone()
                     },
+                    SchedulePolicy::default(),
+                    None,
                 )
             })
             .collect()
@@ -230,13 +233,14 @@ fn main() {
         let want: Vec<FaultReport> = gate_seeds
             .iter()
             .map(|&seed| {
-                oracle.simulate_phases_faulty_policy(
+                oracle.simulate(
                     &phases,
                     &FaultPlan {
                         seed,
                         ..plan.clone()
                     },
                     gate,
+                    None,
                 )
             })
             .collect();
@@ -269,13 +273,14 @@ fn main() {
         seeds
             .iter()
             .map(|&seed| {
-                sim.simulate_phases_recovering(
+                sim.simulate(
                     &phases,
                     &FaultPlan {
                         seed,
                         ..recover_plan.clone()
                     },
-                    &policy,
+                    SchedulePolicy::default(),
+                    Some(&policy),
                 )
             })
             .collect()
@@ -292,14 +297,14 @@ fn main() {
         let want: Vec<FaultReport> = gate_seeds
             .iter()
             .map(|&seed| {
-                oracle.simulate_phases_recovering_policy(
+                oracle.simulate(
                     &phases,
                     &FaultPlan {
                         seed,
                         ..recover_plan.clone()
                     },
-                    &policy,
                     gate,
+                    Some(&policy),
                 )
             })
             .collect();
@@ -333,7 +338,7 @@ fn main() {
         .collect();
     let par_reps = if smoke { 4 } else { 32 };
     let host = host_threads();
-    let serial = par_fault_sweep(&mesh, &phases, &bank, par_reps, 1, sched);
+    let serial = par_fault_sweep_report(&mesh, &phases, &bank, par_reps, 1, sched).0;
     let mut par_rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         // Thread-count-independence gate before timing — on *every*
@@ -359,7 +364,7 @@ fn main() {
             continue;
         }
         let wall_ns = median_ns(timing_reps, || {
-            par_fault_sweep(&mesh, &phases, &bank, par_reps, threads, sched)
+            par_fault_sweep_report(&mesh, &phases, &bank, par_reps, threads, sched).0
         });
         let speedup = par_rows.first().map_or(1.0, |r: &ParRow| {
             r.wall_ns.unwrap_or(0) as f64 / wall_ns.max(1) as f64

@@ -207,7 +207,7 @@ fn main() {
                 seed: fault.seed,
                 ..FaultPlan::none()
             };
-            let z = sim.simulate_phases_faulty_policy(&w.phases, &zero, sched);
+            let z = sim.simulate(&w.phases, &zero, sched, None);
             assert_eq!(
                 z.makespan,
                 healthy,
@@ -221,7 +221,7 @@ fn main() {
             // Gate (d): replication 0 is the per-call policy oracle.
             assert_eq!(
                 reports[0],
-                sim.simulate_phases_faulty_policy(&w.phases, &fault, sched),
+                sim.simulate(&w.phases, &fault, sched, None),
                 "{}: compiled replay diverged from the oracle under {}",
                 w.name,
                 sched.label()

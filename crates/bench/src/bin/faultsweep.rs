@@ -26,14 +26,14 @@
 //! single-seed columns, every sweep point carries Monte Carlo statistics
 //! over [`rescomm_machine::replication_seed`]-derived replications
 //! (replication 0 **is** the classic run), computed with
-//! [`rescomm_machine::par_fault_sweep`] and asserted bit-identical to a
-//! serial evaluation. `--quick` shrinks the workload for the CI smoke
+//! [`rescomm_machine::par_fault_sweep_report`] and asserted
+//! bit-identical to a serial evaluation. `--quick` shrinks the workload for the CI smoke
 //! job; the invariants checked are identical.
 
 use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
 use rescomm_machine::{
-    par_fault_sweep, CostModel, FatTree, FaultPlan, FaultSim, LinkOutage, Mesh2D, NodeOutage, PMsg,
-    PhaseSim, RetryPolicy, SchedulePolicy, XorShift64,
+    par_fault_sweep_report, CostModel, FatTree, FaultPlan, FaultSim, LinkOutage, Mesh2D,
+    NodeOutage, PMsg, PhaseSim, RetryPolicy, SchedulePolicy, XorShift64,
 };
 
 /// Deterministic synthetic phase set on `nodes` processors.
@@ -140,12 +140,12 @@ fn main() {
         })
         .collect();
     let sched = SchedulePolicy::default();
-    let stats = par_fault_sweep(&mesh, &phases, &plans, replications, threads, sched);
+    let stats = par_fault_sweep_report(&mesh, &phases, &plans, replications, threads, sched).0;
     // Parallel-determinism gate: the sweep must not depend on the
     // thread count.
     assert_eq!(
         stats,
-        par_fault_sweep(&mesh, &phases, &plans, replications, 1, sched),
+        par_fault_sweep_report(&mesh, &phases, &plans, replications, 1, sched).0,
         "parallel fault sweep diverged from serial"
     );
 
@@ -153,7 +153,7 @@ fn main() {
     let mut rows = Vec::new();
     for ((&(drop_pct, retry), plan), st) in points.iter().zip(&plans).zip(&stats) {
         // The classic single-seed run through the per-call oracle …
-        let rep = sim.simulate_phases_faulty(&phases, plan);
+        let rep = sim.simulate(&phases, plan, SchedulePolicy::default(), None);
         // … must be reproduced bit for bit by the compiled engine
         // (replication 0's seed is the plan's own seed).
         engine.set_plan(plan);
@@ -207,7 +207,7 @@ fn main() {
     }
 
     // Zero-fault gate: no faults → bit-identical to the unfaulted engine.
-    let zero = sim.simulate_phases_faulty(&phases, &FaultPlan::none());
+    let zero = sim.simulate(&phases, &FaultPlan::none(), SchedulePolicy::default(), None);
     assert_eq!(zero.makespan, healthy, "zero-fault plan must be identical");
     assert_eq!(zero.delivered, zero.messages);
     eprintln!("zero-fault gate: makespan {} ns == healthy", zero.makespan);

@@ -24,17 +24,17 @@
 //! the compiled batch engine ([`rescomm_machine::FaultSim`]), which must
 //! agree bit for bit, and carries Monte Carlo statistics over
 //! [`rescomm_machine::replication_seed`]-derived replications computed
-//! with [`rescomm_machine::par_recovery_sweep`] (replication 0 **is**
-//! the classic run; the parallel sweep is asserted bit-identical to a
-//! serial one).
+//! with [`rescomm_machine::par_recovery_sweep_report`] (replication 0
+//! **is** the classic run; the parallel sweep is asserted bit-identical
+//! to a serial one).
 //!
 //! `--quick` (alias `--smoke`) shrinks the workload for the CI smoke job;
 //! the invariants checked are identical.
 
 use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
 use rescomm_machine::{
-    mttf_death_schedule, par_recovery_sweep, CheckpointPolicy, CostModel, FaultPlan, FaultSim,
-    Mesh2D, PMsg, PhaseSim, SchedulePolicy, XorShift64,
+    mttf_death_schedule, par_recovery_sweep_report, CheckpointPolicy, CostModel, FaultPlan,
+    FaultSim, Mesh2D, PMsg, PhaseSim, SchedulePolicy, XorShift64,
 };
 
 /// Deterministic synthetic phase set on `nodes` processors.
@@ -102,7 +102,12 @@ fn main() {
 
     // Zero-death gate first: the recovering driver on a death-free plan
     // must match the unfaulted scheduler bit for bit.
-    let zero = sim.simulate_phases_recovering(&phases, &FaultPlan::none(), &policy);
+    let zero = sim.simulate(
+        &phases,
+        &FaultPlan::none(),
+        SchedulePolicy::default(),
+        Some(&policy),
+    );
     assert_eq!(zero.makespan, healthy, "zero-death run must be identical");
     assert_eq!(zero.delivered, zero.messages);
     assert_eq!(zero.recovery.rollbacks, 0);
@@ -127,7 +132,7 @@ fn main() {
             }
         })
         .collect();
-    let stats = par_recovery_sweep(
+    let stats = par_recovery_sweep_report(
         &mesh,
         &phases,
         &plans,
@@ -135,12 +140,13 @@ fn main() {
         replications,
         threads,
         sched,
-    );
+    )
+    .0;
     // Parallel-determinism gate: the sweep must not depend on the
     // thread count.
     assert_eq!(
         stats,
-        par_recovery_sweep(&mesh, &phases, &plans, &policy, replications, 1, sched),
+        par_recovery_sweep_report(&mesh, &phases, &plans, &policy, replications, 1, sched).0,
         "parallel recovery sweep diverged from serial"
     );
 
@@ -148,7 +154,7 @@ fn main() {
     let mut mttf_rows = Vec::new();
     for ((&mttf_pct, plan), st) in points.iter().zip(&plans).zip(&stats) {
         // The classic single-seed run through the per-call oracle …
-        let rep = sim.simulate_phases_recovering(&phases, plan, &policy);
+        let rep = sim.simulate(&phases, plan, SchedulePolicy::default(), Some(&policy));
         // … must be reproduced bit for bit by the compiled engine
         // (replication 0's seed is the plan's own seed).
         engine.set_plan(plan);
@@ -212,7 +218,7 @@ fn main() {
             ring: 32,
             ..CheckpointPolicy::default()
         };
-        let rep = sim.simulate_phases_recovering(&phases, &fixed_plan, &p);
+        let rep = sim.simulate(&phases, &fixed_plan, SchedulePolicy::default(), Some(&p));
         assert!(rep.recovery.all_recovered(), "interval={interval}");
         assert_eq!(rep.delivered, rep.messages);
         eprintln!(

@@ -6,7 +6,7 @@
 //! substrate (topology sweeps, schedule search, the sharded service)
 //! fans out exactly like one of them:
 //!
-//! * **fault_replay** — [`par_fault_sweep`] over a bank of fault plans
+//! * **fault_replay** — [`par_fault_sweep_report`] over a bank of fault plans
 //!   (plan×seed task sharding, per-worker [`FaultSim`] engines);
 //! * **analysis_batch** — [`map_nest_batch`] over a fleet of loop nests
 //!   of deliberately skewed sizes (per-worker `AnalysisCache`s; the
@@ -38,7 +38,7 @@ use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
 use rescomm_bench::workload::{chained_stencil_nest, host_threads, pipeline_nest};
 use rescomm_loopnest::LoopNest;
 use rescomm_machine::{
-    par_fault_sweep, par_fault_sweep_report, par_recovery_sweep, par_schedule_sweep, CachedPhase,
+    par_fault_sweep_report, par_recovery_sweep_report, par_schedule_sweep, CachedPhase,
     CheckpointPolicy, CostModel, FaultPlan, LinkOutage, Mesh2D, NodeOutage, PMsg, RetryPolicy,
     ScheduleMode, SchedulePolicy, SweepReport, XorShift64,
 };
@@ -199,24 +199,25 @@ fn main() {
     let id_workers: &[usize] = if smoke { &[2, 3, 8] } else { &[2, 3, 5, 8] };
     let mut id_rows: Vec<(&str, usize)> = Vec::new();
 
-    let fault_serial = par_fault_sweep(&mesh, &phases, &bank, reps, 1, sched);
+    let fault_serial = par_fault_sweep_report(&mesh, &phases, &bank, reps, 1, sched).0;
     for &w in id_workers {
         assert_eq!(
-            par_fault_sweep(&mesh, &phases, &bank, reps, w, sched),
+            par_fault_sweep_report(&mesh, &phases, &bank, reps, w, sched).0,
             fault_serial,
-            "par_fault_sweep diverged from serial at {w} workers"
+            "par_fault_sweep_report diverged from serial at {w} workers"
         );
         id_rows.push(("fault", w));
     }
 
     let policy = CheckpointPolicy::default();
     let rec_reps = reps.min(8);
-    let rec_serial = par_recovery_sweep(&mesh, &phases, &bank, &policy, rec_reps, 1, sched);
+    let rec_serial =
+        par_recovery_sweep_report(&mesh, &phases, &bank, &policy, rec_reps, 1, sched).0;
     for &w in &id_workers[..2] {
         assert_eq!(
-            par_recovery_sweep(&mesh, &phases, &bank, &policy, rec_reps, w, sched),
+            par_recovery_sweep_report(&mesh, &phases, &bank, &policy, rec_reps, w, sched).0,
             rec_serial,
-            "par_recovery_sweep diverged from serial at {w} workers"
+            "par_recovery_sweep_report diverged from serial at {w} workers"
         );
         id_rows.push(("recovery", w));
     }
@@ -262,7 +263,7 @@ fn main() {
         // skip them outright, never fake them.
         let wall_ns = (w <= host).then(|| {
             median_ns(timing_reps, || {
-                par_fault_sweep(&mesh, &phases, &bank, reps, w, sched)
+                par_fault_sweep_report(&mesh, &phases, &bank, reps, w, sched).0
             })
         });
         match wall_ns {

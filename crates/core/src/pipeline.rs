@@ -353,7 +353,7 @@ pub fn map_nest_reference(nest: &LoopNest, opts: &MappingOptions) -> Mapping {
 
 /// Map every nest, fanning out over `threads` workers on the shared
 /// work-stealing pool with one [`AnalysisCache`] per worker (the
-/// `par_sweep_with` scratch pattern). Results are in input order and
+/// `par_sweep_with_report` scratch pattern). Results are in input order and
 /// identical to mapping each nest alone; the first failing nest's error
 /// is returned.
 pub fn map_nest_batch(

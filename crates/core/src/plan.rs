@@ -279,7 +279,7 @@ impl CommPlan {
         sched: SchedulePolicy,
     ) -> FaultReport {
         let phases = self.phases_on_mesh(mesh, dist, vshape, bytes);
-        PhaseSim::new(mesh.clone()).simulate_phases_faulty_policy(&phases, plan, sched)
+        PhaseSim::new(mesh.clone()).simulate(&phases, plan, sched, None)
     }
 
     /// Monte Carlo replication of the faulty simulation: run the plan
@@ -330,9 +330,9 @@ impl CommPlan {
     }
 
     /// Fold onto a mesh like [`CommPlan::simulate_on_mesh`], but drive
-    /// the phases through the checkpoint/rollback engine
-    /// ([`PhaseSim::simulate_phases_recovering`] or its overlapped
-    /// twin, per `sched`) so the plan survives the fault plan's
+    /// the phases through the per-call checkpoint/rollback driver
+    /// ([`PhaseSim::simulate`] with `policy`, scheduled per `sched`) so
+    /// the plan survives the fault plan's
     /// permanent node deaths. On a death-free plan the committed
     /// makespan equals the faulty run under the same policy exactly.
     #[allow(clippy::too_many_arguments)]
@@ -347,7 +347,7 @@ impl CommPlan {
         sched: SchedulePolicy,
     ) -> FaultReport {
         let phases = self.phases_on_mesh(mesh, dist, vshape, bytes);
-        PhaseSim::new(mesh.clone()).simulate_phases_recovering_policy(&phases, plan, policy, sched)
+        PhaseSim::new(mesh.clone()).simulate(&phases, plan, sched, Some(policy))
     }
 
     /// Verify the plan delivers data correctly: for every non-local access
@@ -826,7 +826,8 @@ mod tests {
         // Replication 0 is the classic single-seed run, bit-identical to
         // the per-call oracle over the same folded phases.
         let phases = plan.phases_on_mesh(&mesh, dist, (24, 24), 64);
-        let oracle = PhaseSim::new(mesh.clone()).simulate_phases_faulty(&phases, &fplan);
+        let oracle =
+            PhaseSim::new(mesh.clone()).simulate(&phases, &fplan, SchedulePolicy::default(), None);
         assert_eq!(reps[0], oracle);
         // Distinct seeds genuinely vary the runs.
         assert!(reps

@@ -51,7 +51,7 @@ use rescomm_json::{parse, JsonValue};
 use rescomm_loopnest::parser::parse_nest;
 use rescomm_loopnest::LoopNest;
 use rescomm_machine::snapshot::{mesh_from_json, mesh_to_json};
-use rescomm_machine::sweep::par_sweep_with;
+use rescomm_machine::sweep::par_sweep_with_report;
 use rescomm_machine::{CostModel, Mesh2D, ScheduleMode};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -939,7 +939,7 @@ fn load_snapshot(path: &PathBuf, workers: usize) -> Result<Vec<(String, PlanEntr
     // The restore proof: each deserialized plan must replay to the exact
     // recorded makespan on its deserialized mesh. Entries are
     // independent, so verification rides the work-stealing pool.
-    let verdicts = par_sweep_with(
+    let (verdicts, _) = par_sweep_with_report(
         &parsed,
         workers,
         || (),

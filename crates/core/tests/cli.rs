@@ -14,6 +14,12 @@ fn write_nest(contents: &str) -> tempfile_path::TempPath {
 /// Minimal self-cleaning temp-file helper (no external crates).
 mod tempfile_path {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Tests run in parallel inside one process: the counter keeps two
+    /// tests writing the same contents from sharing (and deleting) one
+    /// path.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
 
     pub struct TempPath(pub PathBuf);
 
@@ -34,7 +40,7 @@ mod tempfile_path {
         let unique = format!(
             "rescomm-cli-test-{}-{}.nest",
             std::process::id(),
-            contents.len()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         );
         p.push(unique);
         std::fs::write(&p, contents).unwrap();

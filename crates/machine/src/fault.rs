@@ -20,13 +20,13 @@
 //!   an absolute time; a failure detector with configurable
 //!   [`FaultPlan::detection_latency`] notices the death and triggers the
 //!   checkpoint/rollback recovery path
-//!   ([`crate::PhaseSim::simulate_phases_recovering`]);
+//!   ([`crate::PhaseSim::simulate`] with a [`crate::CheckpointPolicy`]);
 //! * a **retry policy** — timeout plus exponential backoff, with a hard
 //!   attempt cap after which the transport escalates to a reliable
 //!   channel (the attempt is forced through), so delivery is guaranteed
 //!   whenever retries are enabled, whatever the drop probability.
 //!
-//! [`crate::PhaseSim::simulate_phase_faulty`] consumes the plan and
+//! [`crate::PhaseSim::simulate`] consumes the plan and
 //! returns a [`FaultReport`] with full makespan accounting, so the cost
 //! of degradation is measurable (see the `faultsweep` and `recoverysweep`
 //! bench bins). Recovery outcomes (rollbacks, replayed phases, lost work)
@@ -62,7 +62,7 @@ pub struct NodeOutage {
 /// receives again. Unlike a [`NodeOutage`] window, a death is only
 /// survivable by rolling back to a checkpoint and folding the dead
 /// node's work onto survivors
-/// ([`crate::PhaseSim::simulate_phases_recovering`]).
+/// ([`crate::PhaseSim::simulate`] with a [`crate::CheckpointPolicy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeDeath {
     /// Flattened node id.
@@ -106,6 +106,15 @@ impl RetryPolicy {
         RetryPolicy {
             enabled: false,
             ..RetryPolicy::default()
+        }
+    }
+
+    /// Attempts before the transport escalates (1 when retries are off).
+    pub(crate) fn attempt_cap(&self) -> u32 {
+        if self.enabled {
+            self.max_attempts.max(1)
+        } else {
+            1
         }
     }
 
@@ -452,6 +461,22 @@ impl CompiledFaultPlan {
         }
     }
 
+    /// The zero-fault plan with empty lookup tables: what a clean
+    /// replay runs under (its transport never queries it).
+    pub(crate) fn none() -> Self {
+        CompiledFaultPlan {
+            plan: FaultPlan::none(),
+            link_segs: Vec::new(),
+            link_off: Vec::new(),
+            node_wins: Vec::new(),
+            node_off: Vec::new(),
+            death: Vec::new(),
+            has_death_times: false,
+            deaths_sorted: Vec::new(),
+            fold: Vec::new(),
+        }
+    }
+
     /// The source plan.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
@@ -571,7 +596,7 @@ fn fold_table(px: usize, py: usize, dead: &[usize]) -> Vec<u32> {
 }
 
 /// Accounting of the checkpoint/rollback recovery path
-/// ([`crate::PhaseSim::simulate_phases_recovering`]). Absorbed into
+/// ([`crate::PhaseSim::simulate`] with a [`crate::CheckpointPolicy`]). Absorbed into
 /// [`FaultReport`] so one report covers both transport-level faults and
 /// node-loss recovery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -17,36 +17,39 @@
 //! * [`collective`] — software collectives on the mesh (tree broadcasts
 //!   along rows/columns, shifts, reductions) used by the benchmark
 //!   harness;
-//! * [`phasesim`] — a reusable zero-allocation phase scheduler
-//!   ([`PhaseSim`]) and precompiled-route replay ([`CachedPhase`]) for
-//!   production-size sweeps, bit-identical to [`Mesh2D::simulate_phase`];
-//!   plus the compiled fault engine ([`CachedFaultPhase`], [`FaultSim`])
-//!   that replays faulty/recovering runs over many seeds at cached-phase
-//!   speed, bit-identical to the per-call oracles;
-//! * [`overlap`] — the dependency-aware overlapped scheduler
-//!   ([`ScheduleMode`]): a phase-(k+1) message releases as soon as its
-//!   source node has received all of its phase-k inflows, list-scheduled
-//!   on the same per-link timelines; the default order guarantees
-//!   makespan ≤ the phased barrier schedule, and the whole thing replays
-//!   from [`CachedPhase`] for batch sweeps ([`par_schedule_sweep`]);
+//! * [`phasesim`] — the simulator's two engines, each one step and one
+//!   driver: the **per-call** engine ([`PhaseSim::simulate`] and the
+//!   clean wrappers [`PhaseSim::simulate_phases_mode`] & co.) walks
+//!   routes on the fly and scans the fault plan linearly; the
+//!   **compiled** engine ([`PhaseSim::run_cached_phases`], [`FaultSim`])
+//!   replays precompiled [`CachedPhase`]s under a [`CompiledFaultPlan`]
+//!   at sweep speed. Every schedule policy × {clean, faulty, recovering}
+//!   runs through both, bit-identical to each other and, clean, to
+//!   [`Mesh2D::simulate_phase`];
+//! * [`overlap`] — the schedule policies ([`ScheduleMode`],
+//!   [`SchedulePolicy`]): phased barriers, dependency-aware overlap (a
+//!   phase-(k+1) message releases as soon as its source node has
+//!   received all of its phase-k inflows; the default order guarantees
+//!   makespan ≤ phased), adaptive degradation from overlap to barriers,
+//!   and the payload sweep over cached phases ([`par_schedule_sweep`]);
 //! * [`pool`] — the shared work-stealing execution substrate: a
 //!   process-wide worker pool (injector + per-worker range deques,
 //!   steal-back-half, grain knob) every `par_*` fan-out in the workspace
 //!   runs on, with per-worker scratch engines and pre-sized result slots
 //!   so output is bit-identical regardless of worker count
 //!   ([`SweepReport`] surfaces the workers actually used);
-//! * [`sweep`] — the parallel sweep drivers on top of the pool, with
-//!   per-worker scratch state ([`par_sweep_with`],
-//!   [`par_sweep_with_report`]), and the Monte Carlo fault sweeps
-//!   sharded at plan×seed granularity ([`par_fault_sweep`],
-//!   [`par_recovery_sweep`]: [`replication_seed`]-derived seeds, Welford
+//! * [`sweep`] — the parallel sweep driver on top of the pool, with
+//!   per-worker scratch state ([`par_sweep_with_report`]), and the Monte
+//!   Carlo fault sweeps sharded at plan×seed granularity
+//!   ([`par_fault_sweep_report`], [`par_recovery_sweep_report`]:
+//!   [`replication_seed`]-derived seeds, Welford
 //!   [`OnlineStats`], results bit-identical to serial evaluation);
 //! * [`fault`] + [`rng`] — deterministic fault injection ([`FaultPlan`]:
 //!   link/node outage windows, permanent node deaths, drop/duplication
 //!   probabilities, control-network outage) with a resilient transport
 //!   (retry + exponential backoff, XY→YX rerouting, software-collective
 //!   degraded mode), checkpoint/rollback recovery from permanent node
-//!   loss ([`PhaseSim::simulate_phases_recovering`]), full degradation
+//!   loss ([`PhaseSim::simulate`] with a [`CheckpointPolicy`]), full degradation
 //!   accounting ([`FaultReport`], [`RecoveryReport`]), and the
 //!   plan-compilation pass behind the fast paths ([`CompiledFaultPlan`]).
 //!
@@ -79,16 +82,12 @@ pub use fault::{
 pub use mesh::Mesh2D;
 pub use model::{CostModel, PMsg};
 pub use overlap::{par_schedule_sweep, OverlapEvent, OverlapOrder, ScheduleMode, SchedulePolicy};
-pub use phasesim::{
-    simulate_phases_batch, CachedFaultPhase, CachedPhase, Checkpoint, CheckpointPolicy, FaultSim,
-    PhaseSim,
-};
+pub use phasesim::{CachedPhase, CheckpointPolicy, FaultSim, PhaseSim};
 pub use pool::{auto_grain, SweepReport};
 pub use rng::XorShift64;
 pub use snapshot::SnapshotError;
 pub use sweep::{
-    mttf_death_schedule, par_fault_sweep, par_fault_sweep_report, par_recovery_sweep,
-    par_recovery_sweep_report, par_sweep, par_sweep_with, par_sweep_with_report, replication_seed,
-    FaultSweepStats, OnlineStats,
+    mttf_death_schedule, par_fault_sweep_report, par_recovery_sweep_report, par_sweep_with_report,
+    replication_seed, FaultSweepStats, OnlineStats,
 };
 pub use trace::{trace_phase, PhaseTrace};

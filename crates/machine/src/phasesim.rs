@@ -1,34 +1,45 @@
-//! A reusable, zero-allocation phase scheduler for the wormhole mesh.
+//! The mesh simulator's two engines.
 //!
-//! [`crate::Mesh2D::simulate_phase`] is correct but allocates on every
-//! call: a fresh link table, a sorted copy of the message set, and one
-//! route `Vec` per message. That is irrelevant for a handful of phases and
-//! ruinous for production-size sweeps (10⁴–10⁵ messages × thousands of
-//! configurations). [`PhaseSim`] keeps all scratch state alive across
-//! calls:
+//! Both schedule the same thing: greedy whole-route reservation on the
+//! per-link timelines of [`crate::Mesh2D::simulate_phase`] (same filter,
+//! same sort order), through the resilient transport of [`FaultPlan`]
+//! (outage deferral, XY→YX rerouting, drop/retry/backoff with
+//! escalation, receiver-side deduplication, black holes on dead
+//! endpoints). Each engine is one **step** (schedule one phase's
+//! messages) and one **driver** (walk the phases; apply the schedule's
+//! phase boundary; checkpoint, detect deaths, roll back and fold).
 //!
-//! * the link-reservation table persists and is *logically* cleared per
-//!   phase with an epoch stamp (no `memset` of the table, no rebuild);
-//! * routes are walked with the allocation-free
-//!   [`crate::mesh::RouteLinks`] iterator — twice per message, once to
-//!   find the start time and once to commit the reservation;
-//! * the sorted working copy of the phase lives in a reusable buffer.
+//! * The **per-call** engine ([`PhaseSim::simulate`] and the clean
+//!   wrappers around it) walks routes on the fly with the
+//!   allocation-free [`crate::mesh::RouteLinks`] iterator, scans the
+//!   [`FaultPlan`] linearly and folds dead nodes with [`fold_target`]
+//!   per message. It needs no preparation, so it serves one-shot
+//!   simulations, and it is the reference the compiled engine is
+//!   tested against.
+//! * The **compiled** engine ([`PhaseSim::run_cached_phases`],
+//!   [`FaultSim`]) replays [`CachedPhase`]s — messages pre-sorted, both
+//!   routes flattened into dense link tables — under a
+//!   [`CompiledFaultPlan`] whose outage lookups are binary searches and
+//!   whose folds are table lookups. It serves payload sweeps and Monte
+//!   Carlo seed batches.
 //!
-//! The schedule is **bit-for-bit identical** to
-//! [`crate::Mesh2D::simulate_phase`] (same filter, same sort order, same
-//! greedy whole-route reservation); the property tests in
-//! `tests/proptests.rs` pin that equivalence, and the original method is
-//! kept untouched as the oracle.
+//! Every [`SchedulePolicy`] × {clean, faulty, recovering} cell is a case
+//! of those four functions. The three schedules differ only in the
+//! `Release` rule at a phase boundary; a clean run is a zero-fault
+//! plan; a faulty run is a driver with no checkpoint policy (the
+//! transport black-holes traffic to dead nodes); a recovering run has
+//! one (the transport ignores deaths, the driver rolls back instead).
 //!
-//! For *repeated* simulation of one message set (payload sweeps, cost
-//! sweeps), [`CachedPhase`] precomputes the sorted order and the flattened
-//! route table once, so each replay is a linear scan with no routing
-//! arithmetic at all.
+//! The link table persists across calls and is *logically* cleared per
+//! phase with an epoch stamp, so no engine allocates per message. The
+//! untouched [`crate::Mesh2D::simulate_phase`] stays the clean oracle.
 
 use crate::fault::{fold_target, CompiledFaultPlan, FaultPlan, FaultReport};
 use crate::mesh::{Mesh2D, RouteLinks};
 use crate::model::PMsg;
-use crate::overlap::{inflation_exceeded, OverlapOrder, ScheduleMode, SchedulePolicy};
+use crate::overlap::{
+    inflation_exceeded, OverlapEvent, OverlapOrder, ScheduleMode, SchedulePolicy,
+};
 use crate::rng::XorShift64;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
@@ -36,19 +47,69 @@ use std::collections::{BTreeMap, VecDeque};
 /// Reusable scratch state for simulating mesh communication phases.
 #[derive(Debug, Clone)]
 pub struct PhaseSim {
-    pub(crate) mesh: Mesh2D,
+    mesh: Mesh2D,
     /// Per-link time at which the link becomes free — valid only where
     /// `stamp` equals the current epoch.
     free: Vec<u64>,
     stamp: Vec<u32>,
     epoch: u32,
-    pub(crate) scratch: Vec<PMsg>,
-    /// Per-node readiness/arrival scratch for the overlapped scheduler
-    /// (see [`crate::overlap`]); untouched by the phased paths.
-    pub(crate) node_ready: Vec<u64>,
-    pub(crate) node_arrival: Vec<u64>,
-    /// Index permutation scratch for the overlapped priority orders.
-    pub(crate) order: Vec<u32>,
+    /// The per-call step's filtered and sorted copy of the phase.
+    scratch: Vec<PMsg>,
+    /// Per-node release time of the current phase, and latest delivery
+    /// into each node so far (see [`Release`]).
+    node_ready: Vec<u64>,
+    node_arrival: Vec<u64>,
+    /// [`OverlapOrder::LongestFirst`] processing permutation.
+    order: Vec<u32>,
+}
+
+/// When a phase's messages may leave their source — the one rule the
+/// three schedules differ in.
+#[derive(Debug, Clone, Copy)]
+enum Release {
+    /// Phased barriers: a fresh link epoch, every node ready at 0 on a
+    /// phase-local clock. Fault windows and deaths are read on that
+    /// clock, per phase.
+    Restart,
+    /// Overlapped: one link timeline and one absolute clock; a node is
+    /// ready once every inflow of the earlier phases has landed.
+    Merge,
+    /// Adaptive after its downgrade: every node waits for the committed
+    /// clock, on the same shared link timeline.
+    Barrier(u64),
+}
+
+/// A [`SchedulePolicy`] resolved for one run.
+#[derive(Debug, Clone, Copy)]
+struct Schedule<'a> {
+    /// Phase boundaries [`Release::Restart`] (phased) instead of merging.
+    restart: bool,
+    order: OverlapOrder,
+    /// Adaptive degradation: the inflation threshold and the healthy
+    /// overlapped prefix makespans it is measured against.
+    adapt: Option<(f64, &'a [u64])>,
+}
+
+impl<'a> Schedule<'a> {
+    /// `prefix` is read only by the adaptive policy.
+    fn of(policy: SchedulePolicy, prefix: &'a [u64]) -> Self {
+        let (restart, order, adapt) = match policy {
+            SchedulePolicy::Fixed(ScheduleMode::Phased) => (true, OverlapOrder::Sorted, None),
+            SchedulePolicy::Fixed(ScheduleMode::Overlapped(order)) => (false, order, None),
+            SchedulePolicy::Adaptive {
+                inflation_threshold,
+            } => (
+                false,
+                OverlapOrder::Sorted,
+                Some((inflation_threshold, prefix)),
+            ),
+        };
+        Schedule {
+            restart,
+            order,
+            adapt,
+        }
+    }
 }
 
 impl PhaseSim {
@@ -73,8 +134,8 @@ impl PhaseSim {
         &self.mesh
     }
 
-    /// Start a fresh phase: bump the epoch so every link reads as free.
-    pub(crate) fn begin_phase(&mut self) {
+    /// Bump the epoch so every link reads as free.
+    fn begin_phase(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Epoch wrapped: physically clear the stamps once per 2³² phases.
@@ -84,7 +145,7 @@ impl PhaseSim {
     }
 
     #[inline]
-    pub(crate) fn link_free_at(&self, link: usize) -> u64 {
+    fn link_free_at(&self, link: usize) -> u64 {
         if self.stamp[link] == self.epoch {
             self.free[link]
         } else {
@@ -93,158 +154,345 @@ impl PhaseSim {
     }
 
     #[inline]
-    pub(crate) fn reserve_link(&mut self, link: usize, until: u64) {
+    fn reserve_link(&mut self, link: usize, until: u64) {
         self.stamp[link] = self.epoch;
         self.free[link] = until;
     }
 
+    /// Start a run: free links, every node ready at 0, nothing arrived.
+    fn begin_run(&mut self) {
+        self.begin_phase();
+        self.node_ready.fill(0);
+        self.node_arrival.fill(0);
+    }
+
+    /// Apply a phase boundary to the per-node release times.
+    fn release(&mut self, release: Release) {
+        match release {
+            // Every node is still ready at 0 (`begin_run`): a run that
+            // restarts never releases any other way.
+            Release::Restart => self.begin_phase(),
+            Release::Merge => {
+                for (ready, &arrival) in self.node_ready.iter_mut().zip(&self.node_arrival) {
+                    *ready = (*ready).max(arrival);
+                }
+            }
+            Release::Barrier(clock) => self.node_ready.fill(clock),
+        }
+    }
+
+    /// Phase-boundary snapshot of the engine and the committed run.
+    fn checkpoint(&self, run: &Run) -> Checkpoint {
+        Checkpoint {
+            phase: run.i,
+            elapsed: run.now,
+            report: run.total,
+            barrier: run.barrier,
+            free: self.free.clone(),
+            stamp: self.stamp.clone(),
+            epoch: self.epoch,
+            node_ready: self.node_ready.clone(),
+            node_arrival: self.node_arrival.clone(),
+        }
+    }
+
+    /// Restore the link clocks and the per-node timeline.
+    fn restore(&mut self, c: &Checkpoint) {
+        self.free.copy_from_slice(&c.free);
+        self.stamp.copy_from_slice(&c.stamp);
+        self.epoch = c.epoch;
+        self.node_ready.copy_from_slice(&c.node_ready);
+        self.node_arrival.copy_from_slice(&c.node_arrival);
+    }
+
+    // --- the per-call engine ---------------------------------------------
+
     /// Simulate one phase; returns the same makespan as
     /// [`Mesh2D::simulate_phase`] without any per-call allocation (after
-    /// the scratch buffer has warmed up).
+    /// the scratch buffers have warmed up).
     pub fn simulate_phase(&mut self, msgs: &[PMsg]) -> u64 {
+        self.clean(&[msgs], ScheduleMode::Phased)
+    }
+
+    /// Simulate dependent phases back to back (each starts after the
+    /// previous completes); returns the total time.
+    pub fn simulate_phases(&mut self, phases: &[Vec<PMsg>]) -> u64 {
+        self.simulate_phases_mode(phases, ScheduleMode::Phased)
+    }
+
+    /// Simulate `phases` under `mode` (see [`crate::overlap`] for the
+    /// overlapped readiness rule and its ordering guarantees).
+    pub fn simulate_phases_mode(&mut self, phases: &[Vec<PMsg>], mode: ScheduleMode) -> u64 {
+        self.clean(phases, mode)
+    }
+
+    /// The clean per-call run: the driver under a zero-fault plan.
+    fn clean<P: AsRef<[PMsg]>>(&mut self, phases: &[P], mode: ScheduleMode) -> u64 {
+        let sched = SchedulePolicy::Fixed(mode);
+        self.drive(phases, &FaultPlan::none(), sched, None, |_| {})
+            .makespan
+    }
+
+    /// Overlapped makespan of `phases` under `order`.
+    pub fn simulate_phases_overlapped(&mut self, phases: &[Vec<PMsg>], order: OverlapOrder) -> u64 {
+        self.simulate_phases_mode(phases, ScheduleMode::Overlapped(order))
+    }
+
+    /// Like [`PhaseSim::simulate_phases_overlapped`], additionally
+    /// returning every scheduled transmission in processing order.
+    pub fn simulate_phases_overlapped_traced(
+        &mut self,
+        phases: &[Vec<PMsg>],
+        order: OverlapOrder,
+    ) -> (u64, Vec<OverlapEvent>) {
+        let mut events = Vec::new();
+        let sched = SchedulePolicy::Fixed(ScheduleMode::Overlapped(order));
+        let rep = self.drive(phases, &FaultPlan::none(), sched, None, |e| events.push(e));
+        (rep.makespan, events)
+    }
+
+    /// Healthy (fault-free) overlapped makespan of every phase prefix:
+    /// entry `k` is the makespan after phases `0..=k` under `order` —
+    /// the baseline [`SchedulePolicy::Adaptive`] measures inflation
+    /// against. The last entry equals
+    /// [`PhaseSim::simulate_phases_overlapped`].
+    pub fn simulate_phases_overlapped_prefix<P: AsRef<[PMsg]>>(
+        &mut self,
+        phases: &[P],
+        order: OverlapOrder,
+    ) -> Vec<u64> {
+        let mut prefix = vec![0u64; phases.len()];
+        let sched = SchedulePolicy::Fixed(ScheduleMode::Overlapped(order));
+        self.drive(phases, &FaultPlan::none(), sched, None, |e| {
+            prefix[e.phase] = prefix[e.phase].max(e.end);
+        });
+        // Phases without events inherit the prefix makespan so far.
+        let mut acc = 0u64;
+        for v in prefix.iter_mut() {
+            acc = acc.max(*v);
+            *v = acc;
+        }
+        prefix
+    }
+
+    /// Simulate dependent phases under `plan` and the schedule `sched`
+    /// — the single per-call entry point of every fault level:
+    ///
+    /// * a [`FaultPlan::is_zero_fault`] plan takes none of the fault
+    ///   branches and is **bit-identical** to
+    ///   [`PhaseSim::simulate_phases_mode`] under
+    ///   [`SchedulePolicy::healthy_mode`];
+    /// * with `recovery: None` the run is **faulty**: a message whose
+    ///   endpoint is permanently dead at send time ([`crate::NodeDeath`])
+    ///   is black-holed (counted under `lost` and `black_holes`);
+    /// * with a [`CheckpointPolicy`] the run is **recovering**: the
+    ///   driver checkpoints every `policy.interval`-th boundary into a
+    ///   ring of `policy.ring`; a death at `t` is detected at
+    ///   [`FaultPlan::detection_time`], the run rolls back to the newest
+    ///   checkpoint at-or-before `t`, folds the dead node's traffic onto
+    ///   its nearest survivor ([`fold_target`]) and replays. The report
+    ///   describes the committed run (exactly-once delivery, zero-death
+    ///   bit-identity with the faulty run); undone work, rollbacks,
+    ///   replays and checkpoint overhead land in
+    ///   [`crate::RecoveryReport`].
+    ///
+    /// Phase `i` draws from its own PRNG stream (`plan.seed + i`), so
+    /// editing one phase never shifts another's fault sequence, and
+    /// replays after a rollback are deterministic. Phased runs read
+    /// outage windows and deaths on each phase's own clock; overlapped
+    /// and adaptive runs on one absolute clock. The report's `makespan`
+    /// is the committed clock.
+    pub fn simulate(
+        &mut self,
+        phases: &[Vec<PMsg>],
+        plan: &FaultPlan,
+        sched: SchedulePolicy,
+        recovery: Option<&CheckpointPolicy>,
+    ) -> FaultReport {
+        self.drive(phases, plan, sched, recovery, |_| {})
+    }
+
+    /// The per-call driver. `sink` sees every delivering transmission.
+    fn drive<P: AsRef<[PMsg]>>(
+        &mut self,
+        phases: &[P],
+        plan: &FaultPlan,
+        sched: SchedulePolicy,
+        recovery: Option<&CheckpointPolicy>,
+        mut sink: impl FnMut(OverlapEvent),
+    ) -> FaultReport {
+        let prefix = match sched {
+            SchedulePolicy::Adaptive { .. } => {
+                self.simulate_phases_overlapped_prefix(phases, OverlapOrder::Sorted)
+            }
+            SchedulePolicy::Fixed(_) => Vec::new(),
+        };
+        let shape = Schedule::of(sched, &prefix);
+        // A recovering run survives deaths by rollback: its transport
+        // must not black-hole traffic to a not-yet-detected dead node.
+        let stripped;
+        let transport = match recovery {
+            Some(_) => {
+                stripped = FaultPlan {
+                    node_deaths: Vec::new(),
+                    ..plan.clone()
+                };
+                &stripped
+            }
+            None => plan,
+        };
+        // A plan with no transport event runs the step without its fault
+        // branches (see [`PhaseSim::step`]).
+        let faults = !transport.is_zero_fault();
+        let (px, py) = (self.mesh.px, self.mesh.py);
+        let mut handled = vec![false; plan.node_deaths.len()];
+        let mut dead: Vec<usize> = Vec::new();
+        let mut folded = Vec::new();
+        let mut run = Run::new(recovery);
+        self.begin_run();
+        loop {
+            let i = run.i;
+            let mut pending = None;
+            if i < phases.len() {
+                run.checkpoint(self);
+                // Fold traffic of already-detected dead nodes onto their
+                // nearest survivors; a message with no possible target
+                // (all nodes dead) is dropped.
+                let mut dropped = 0usize;
+                let msgs: &[PMsg] = if dead.is_empty() {
+                    phases[i].as_ref()
+                } else {
+                    let fold = |n| {
+                        if dead.contains(&n) {
+                            fold_target(px, py, n, &dead)
+                        } else {
+                            Some(n)
+                        }
+                    };
+                    folded.clear();
+                    for m in phases[i].as_ref() {
+                        match (fold(m.src), fold(m.dst)) {
+                            (Some(src), Some(dst)) => folded.push(PMsg { src, dst, ..*m }),
+                            _ => dropped += 1,
+                        }
+                    }
+                    &folded
+                };
+                let release = run.release(shape);
+                let seed = plan.seed.wrapping_add(i as u64);
+                let mut sink = |e| sink(OverlapEvent { phase: i, ..e });
+                let (order, sink) = (shape.order, &mut sink);
+                let rep = if faults {
+                    self.step::<true, _>(msgs, transport, seed, order, release, sink)
+                } else {
+                    self.step::<false, _>(msgs, transport, seed, order, release, sink)
+                };
+                pending = Some(run.close(rep, dropped, shape));
+            }
+            if recovery.is_some() {
+                // Earliest unhandled death the detector can see: inside
+                // the span this phase would commit, or — once all phases
+                // are done — anywhere inside the committed run.
+                let visible = plan
+                    .node_deaths
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, d)| {
+                        !handled[*k]
+                            && match &pending {
+                                Some(p) => plan.detection_time(d.t) <= p.end,
+                                None => d.t < run.now,
+                            }
+                    })
+                    .min_by_key(|(_, d)| (d.t, d.node));
+                if let Some((k, d)) = visible {
+                    handled[k] = true;
+                    run.total.recovery.detected += 1;
+                    if !dead.contains(&d.node) {
+                        dead.push(d.node);
+                        run.total.recovery.folded_nodes += 1;
+                    }
+                    let end = pending.map_or(run.now, |p| p.end);
+                    run.rollback(self, d.t, end);
+                    continue;
+                }
+            }
+            let Some(p) = pending else {
+                break;
+            };
+            run.commit(p, shape);
+        }
+        // Only deaths that struck the run count: one scheduled past the
+        // committed end never happened to it.
+        run.total.recovery.deaths = handled.iter().filter(|&&h| h).count();
+        run.total
+    }
+
+    /// The per-call step: filter and sort `msgs`, then schedule each
+    /// through the resilient transport from its source's release time.
+    /// The report's `makespan` is the latest end on the phase's clock.
+    /// `FAULTS = false` promises a [`FaultPlan::is_zero_fault`] plan, so
+    /// the clean instance — every served simulation's hot loop — compiles
+    /// out the liveness, drop and duplication branches.
+    fn step<const FAULTS: bool, S: FnMut(OverlapEvent)>(
+        &mut self,
+        msgs: &[PMsg],
+        plan: &FaultPlan,
+        seed: u64,
+        order: OverlapOrder,
+        release: Release,
+        sink: &mut S,
+    ) -> FaultReport {
+        self.release(release);
+        // A restarted phase's arrivals are never read: every later
+        // boundary of the run restarts too.
+        let merge = !matches!(release, Release::Restart);
         self.scratch.clear();
         self.scratch
             .extend(msgs.iter().copied().filter(|m| m.src != m.dst));
         // `PMsg` has a total order, so unstable sorting is observationally
         // identical to the oracle's stable sort.
         self.scratch.sort_unstable();
-        self.begin_phase();
-        let mut makespan = 0u64;
-        for idx in 0..self.scratch.len() {
-            let m = self.scratch[idx];
-            let mut hops = 0usize;
-            let mut start = 0u64;
-            for l in self.mesh.route_links(m.src, m.dst) {
-                hops += 1;
-                start = start.max(self.link_free_at(l.index()));
-            }
-            let end = start + self.mesh.cost.p2p(hops, m.bytes);
-            for l in self.mesh.route_links(m.src, m.dst) {
-                self.reserve_link(l.index(), end);
-            }
-            makespan = makespan.max(end);
+        let longest = order == OverlapOrder::LongestFirst;
+        if longest {
+            let (scratch, mesh) = (&self.scratch, &self.mesh);
+            prioritize(&mut self.order, scratch.len(), &self.node_ready, |i| {
+                (scratch[i].src, mesh.hops(scratch[i].src, scratch[i].dst))
+            });
         }
-        makespan
-    }
-
-    /// Simulate dependent phases back to back (each starts after the
-    /// previous completes); returns the total time.
-    pub fn simulate_phases(&mut self, phases: &[Vec<PMsg>]) -> u64 {
-        phases.iter().map(|p| self.simulate_phase(p)).sum()
-    }
-
-    /// Scan a candidate route: earliest start ≥ `not_before` given current
-    /// link reservations, the hop count, and — if any link of the route is
-    /// inside an outage window at that start — the earliest time one of the
-    /// dead links comes back (the time worth deferring to).
-    pub(crate) fn scan_route(
-        &self,
-        route: RouteLinks,
-        not_before: u64,
-        plan: &FaultPlan,
-    ) -> (u64, usize, Option<u64>) {
-        let mut start = not_before;
-        let mut hops = 0usize;
-        for l in route.clone() {
-            hops += 1;
-            start = start.max(self.link_free_at(l.index()));
-        }
-        let mut dead_until: Option<u64> = None;
-        for l in route {
-            if let Some(u) = plan.link_outage_until(l.index(), start) {
-                dead_until = Some(dead_until.map_or(u, |d: u64| d.min(u)));
-            }
-        }
-        (start, hops, dead_until)
-    }
-
-    /// Transmit once over `route`, reserving every link `[start, end)`.
-    pub(crate) fn transmit(
-        &mut self,
-        route: RouteLinks,
-        start: u64,
-        hops: usize,
-        bytes: u64,
-    ) -> u64 {
-        let end = start.saturating_add(self.mesh.cost.p2p(hops, bytes));
-        for l in route {
-            self.reserve_link(l.index(), end);
-        }
-        end
-    }
-
-    /// Simulate one phase under a [`FaultPlan`]: same deterministic greedy
-    /// whole-route schedule as [`PhaseSim::simulate_phase`], but each
-    /// message runs the resilient transport:
-    ///
-    /// * **node outages** defer the send until both endpoints are alive;
-    /// * **link outages** trigger adaptive rerouting — a message whose XY
-    ///   route crosses a dead link falls back to the YX route, and defers
-    ///   to the end of the outage window only if both routes are dead;
-    /// * each transmission attempt is **lost** with `drop_prob` (the lost
-    ///   attempt still occupies its links — wasted bandwidth is modelled);
-    /// * losses are retransmitted after timeout × exponential backoff up
-    ///   to `max_attempts`, at which point the transport escalates to a
-    ///   reliable channel, so with retries enabled **every message is
-    ///   delivered exactly once** whatever the drop probability;
-    /// * a delivered message is **duplicated** with `dup_prob` (a lost
-    ///   acknowledgement); the receiver deduplicates, so the duplicate
-    ///   wastes bandwidth without double-delivering;
-    /// * a message whose endpoint is **permanently dead** at send time
-    ///   ([`crate::NodeDeath`]) is black-holed: counted under `lost` and
-    ///   `black_holes`. Surviving a permanent death needs the rollback
-    ///   path, [`PhaseSim::simulate_phases_recovering`].
-    ///
-    /// A [`FaultPlan::is_zero_fault`] plan takes none of these branches
-    /// and produces a makespan **bit-identical** to
-    /// [`PhaseSim::simulate_phase`] (pinned by property tests).
-    pub fn simulate_phase_faulty(&mut self, msgs: &[PMsg], plan: &FaultPlan) -> FaultReport {
-        self.simulate_phase_faulty_seeded(msgs, plan, plan.seed)
-    }
-
-    fn simulate_phase_faulty_seeded(
-        &mut self,
-        msgs: &[PMsg],
-        plan: &FaultPlan,
-        seed: u64,
-    ) -> FaultReport {
-        self.scratch.clear();
-        self.scratch
-            .extend(msgs.iter().copied().filter(|m| m.src != m.dst));
-        self.scratch.sort_unstable();
-        self.begin_phase();
         let mut rng = XorShift64::new(seed);
         let mut rep = FaultReport {
             messages: self.scratch.len(),
             ..FaultReport::default()
         };
-        let max_attempts = if plan.retry.enabled {
-            plan.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        for idx in 0..self.scratch.len() {
-            let m = self.scratch[idx];
-            let mut next_send = 0u64;
+        let max_attempts = plan.retry.attempt_cap();
+        // Skipping a check when the plan has no matching event is
+        // observationally identical: the scan would find nothing, and no
+        // draw matters when neither probability can fire.
+        let check_nodes = FAULTS && (!plan.node_outages.is_empty() || !plan.node_deaths.is_empty());
+        let random = FAULTS && !(plan.drop_prob <= 0.0 && plan.dup_prob <= 0.0);
+        for oi in 0..self.scratch.len() {
+            let m = self.scratch[if longest { self.order[oi] as usize } else { oi }];
+            let ready = self.node_ready[m.src];
+            let mut next_send = ready;
             let mut attempt = 0u32;
             loop {
-                // Defer while an endpoint is inside an outage window.
-                let alive = plan
-                    .node_alive_after(m.src, next_send)
-                    .max(plan.node_alive_after(m.dst, next_send));
-                if alive == u64::MAX {
-                    // A permanently dead endpoint never comes back: the
-                    // message is black-holed (counted lost), not deferred
-                    // forever. Recovering from this requires the
-                    // checkpoint/rollback path.
-                    rep.lost += 1;
-                    rep.black_holes += 1;
-                    break;
-                }
-                if alive > next_send {
-                    rep.deferrals += 1;
-                    next_send = alive;
-                    continue;
+                if check_nodes {
+                    // Defer while an endpoint is inside an outage window;
+                    // a permanently dead endpoint black-holes the message.
+                    let alive = plan
+                        .node_alive_after(m.src, next_send)
+                        .max(plan.node_alive_after(m.dst, next_send));
+                    if alive == u64::MAX {
+                        rep.lost += 1;
+                        rep.black_holes += 1;
+                        break;
+                    }
+                    if alive > next_send {
+                        rep.deferrals += 1;
+                        next_send = alive;
+                        continue;
+                    }
                 }
                 // Route selection: XY unless dead, then YX, else wait out
                 // the outage. Each deferral jumps to a strictly later
@@ -280,7 +528,7 @@ impl PhaseSim {
                 let end = self.transmit(route(&self.mesh), start, hops, m.bytes);
                 rep.makespan = rep.makespan.max(end);
                 let escalated = plan.retry.enabled && attempt >= max_attempts;
-                let unlucky = rng.chance(plan.drop_prob);
+                let unlucky = random && rng.chance(plan.drop_prob);
                 if unlucky && !escalated {
                     if !plan.retry.enabled {
                         rep.lost += 1;
@@ -294,14 +542,24 @@ impl PhaseSim {
                     rep.escalations += 1;
                 }
                 rep.delivered += 1;
+                // Only the delivering transmission carries readiness.
+                if merge {
+                    self.node_arrival[m.dst] = self.node_arrival[m.dst].max(end);
+                }
+                sink(OverlapEvent {
+                    phase: 0, // the driver knows the index
+                    msg: m,
+                    ready,
+                    start,
+                    end,
+                });
                 // Lost-acknowledgement duplicate, suppressed at the
-                // receiver: pure wasted bandwidth.
-                if rng.chance(plan.dup_prob) {
+                // receiver: pure wasted bandwidth. The delivery just
+                // reserved every link of the route to `end`, so it goes
+                // out back to back without a rescan.
+                if random && rng.chance(plan.dup_prob) {
                     rep.duplicates += 1;
                     rep.attempts += 1;
-                    // The delivery just reserved every link of this route
-                    // to `end`, so a rescan would return start = `end` and
-                    // the same hop count: retransmit directly.
                     let end2 = self.transmit(route(&self.mesh), end, hops, m.bytes);
                     rep.makespan = rep.makespan.max(end2);
                 }
@@ -311,459 +569,199 @@ impl PhaseSim {
         rep
     }
 
-    /// Simulate dependent phases back to back under a fault plan. Each
-    /// phase restarts the clock at 0 (outage windows are per-phase) and
-    /// draws from its own PRNG stream (`seed + phase index`), so inserting
-    /// or removing a phase does not shift the fault sequence of the
-    /// others. Reports are summed via [`FaultReport::absorb`].
-    pub fn simulate_phases_faulty(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-    ) -> FaultReport {
-        let mut total = FaultReport::default();
-        for (i, p) in phases.iter().enumerate() {
-            let rep = self.simulate_phase_faulty_seeded(p, plan, plan.seed.wrapping_add(i as u64));
-            total.absorb(&rep);
-        }
-        total
-    }
-
-    /// Take a phase-boundary snapshot of the engine and the committed
-    /// run so far.
-    pub(crate) fn checkpoint(&self, phase: usize, elapsed: u64, report: FaultReport) -> Checkpoint {
-        Checkpoint {
-            phase,
-            elapsed,
-            report,
-            free: self.free.clone(),
-            stamp: self.stamp.clone(),
-            epoch: self.epoch,
-        }
-    }
-
-    /// Restore the engine's link-clock state from a snapshot.
-    pub(crate) fn restore(&mut self, c: &Checkpoint) {
-        self.free.copy_from_slice(&c.free);
-        self.stamp.copy_from_slice(&c.stamp);
-        self.epoch = c.epoch;
-    }
-
-    /// [`PhaseSim::checkpoint`] plus the overlapped per-node timeline
-    /// and the adaptive policy's degradation flag.
-    pub(crate) fn checkpoint_overlapped(
+    /// Scan a candidate route: earliest start ≥ `not_before` given current
+    /// link reservations, the hop count, and — if any link of the route is
+    /// inside an outage window at that start — the earliest time one of the
+    /// dead links comes back (the time worth deferring to).
+    fn scan_route(
         &self,
-        phase: usize,
-        elapsed: u64,
-        report: FaultReport,
-        barrier: bool,
-    ) -> OverlapCheckpoint {
-        OverlapCheckpoint {
-            base: self.checkpoint(phase, elapsed, report),
-            node_ready: self.node_ready.clone(),
-            node_arrival: self.node_arrival.clone(),
-            barrier,
-        }
-    }
-
-    /// Restore link clocks *and* the per-node readiness/arrival
-    /// timeline (the caller restores the `barrier` flag itself).
-    pub(crate) fn restore_overlapped(&mut self, c: &OverlapCheckpoint) {
-        self.restore(&c.base);
-        self.node_ready.copy_from_slice(&c.node_ready);
-        self.node_arrival.copy_from_slice(&c.node_arrival);
-    }
-
-    /// Simulate dependent phases under a [`FaultPlan`] that may contain
-    /// **permanent node deaths**, surviving them end-to-end via
-    /// checkpoint/rollback:
-    ///
-    /// * at every `policy.interval`-th phase boundary the engine takes a
-    ///   [`Checkpoint`] (committed clock, committed report, link-clock
-    ///   scratch), keeping a bounded ring of the `policy.ring` most
-    ///   recent ones;
-    /// * a death at `t` becomes visible to the failure detector at
-    ///   `t + detection_latency` ([`FaultPlan::detection_time`]). When
-    ///   detection falls inside the simulated span, the run **rolls
-    ///   back** to the newest checkpoint taken at-or-before the death
-    ///   (hence the ring — the detection point may be several intervals
-    ///   past the death), folds the dead node's traffic onto its nearest
-    ///   survivor ([`fold_target`]) and resumes from there;
-    /// * the final report describes the **committed** run only — the
-    ///   exactly-once delivery guarantee and the zero-death bit-identity
-    ///   with [`PhaseSim::simulate_phases`] hold — while undone work,
-    ///   rollback counts, replayed phases and checkpoint overhead are
-    ///   accounted separately in [`crate::RecoveryReport`]
-    ///   (`report.recovery`; see [`FaultReport::wall_clock_ns`]).
-    ///
-    /// Recovery is phase-granular: a phase in flight when a death is
-    /// detected is discarded wholesale and its makespan counted as lost
-    /// work. Replayed phases reuse the per-phase seed (`seed + i`), so
-    /// the whole run — rollbacks included — is deterministic.
-    pub fn simulate_phases_recovering(
-        &mut self,
-        phases: &[Vec<PMsg>],
+        route: RouteLinks,
+        not_before: u64,
         plan: &FaultPlan,
-        policy: &CheckpointPolicy,
-    ) -> FaultReport {
-        let interval = policy.interval.max(1);
-        let ring_cap = policy.ring.max(1);
-        let (px, py) = (self.mesh.px, self.mesh.py);
-        // Deaths are handled at this level: the per-phase transport must
-        // not black-hole traffic to a not-yet-detected dead node (that
-        // work is lost on rollback instead).
-        let inner = FaultPlan {
-            node_deaths: Vec::new(),
-            ..plan.clone()
-        };
-        let mut total = FaultReport::default();
-        let mut handled = vec![false; plan.node_deaths.len()];
-        let mut dead: Vec<usize> = Vec::new();
-        let mut ring: VecDeque<Checkpoint> = VecDeque::new();
-        let mut now = 0u64;
-        // Highest phase index committed so far (exclusive): commits below
-        // it are re-executions after a rollback.
-        let mut frontier = 0usize;
-        let mut i = 0usize;
-        loop {
-            let mut phase_end = now;
-            let mut phase_rep: Option<(FaultReport, usize)> = None;
-            if i < phases.len() {
-                // Checkpoint at the boundary (unless the rollback we just
-                // took restored exactly this point — its snapshot is
-                // already the ring's newest entry).
-                if i % interval == 0 && ring.back().is_none_or(|c| c.phase != i || c.elapsed != now)
-                {
-                    if ring.len() == ring_cap {
-                        ring.pop_front();
-                    }
-                    ring.push_back(self.checkpoint(i, now, total));
-                    total.recovery.checkpoints += 1;
-                    total.recovery.checkpoint_overhead_ns += policy.cost_ns;
+    ) -> (u64, usize, Option<u64>) {
+        let mut start = not_before;
+        let mut hops = 0usize;
+        for l in route.clone() {
+            hops += 1;
+            start = start.max(self.link_free_at(l.index()));
+        }
+        let mut dead_until: Option<u64> = None;
+        if !plan.link_outages.is_empty() {
+            for l in route {
+                if let Some(u) = plan.link_outage_until(l.index(), start) {
+                    dead_until = Some(dead_until.map_or(u, |d: u64| d.min(u)));
                 }
-                // Fold traffic of already-detected dead nodes onto their
-                // nearest survivors; a message with no possible target
-                // (all nodes dead) is black-holed.
-                let mut folded = Vec::new();
-                let mut dropped = 0usize;
-                let msgs: &[PMsg] = if dead.is_empty() {
-                    &phases[i]
-                } else {
-                    for m in &phases[i] {
-                        let src = if dead.contains(&m.src) {
-                            fold_target(px, py, m.src, &dead)
-                        } else {
-                            Some(m.src)
-                        };
-                        let dst = if dead.contains(&m.dst) {
-                            fold_target(px, py, m.dst, &dead)
-                        } else {
-                            Some(m.dst)
-                        };
-                        match (src, dst) {
-                            (Some(src), Some(dst)) => folded.push(PMsg { src, dst, ..*m }),
-                            _ => dropped += 1,
-                        }
-                    }
-                    &folded
-                };
-                let rep = self.simulate_phase_faulty_seeded(
-                    msgs,
-                    &inner,
-                    plan.seed.wrapping_add(i as u64),
-                );
-                phase_end = now + rep.makespan;
-                phase_rep = Some((rep, dropped));
             }
-            // Earliest unhandled death the detector can see: inside the
-            // span this phase would commit, or — once all phases are done
-            // — anywhere inside the committed run (a death near the end
-            // whose detection latency reaches past it still recovers).
-            let visible = plan
-                .node_deaths
-                .iter()
-                .enumerate()
-                .filter(|(k, d)| {
-                    !handled[*k]
-                        && if phase_rep.is_some() {
-                            plan.detection_time(d.t) <= phase_end
-                        } else {
-                            d.t < now
-                        }
-                })
-                .min_by_key(|(_, d)| (d.t, d.node));
-            if let Some((k, d)) = visible {
-                handled[k] = true;
-                total.recovery.detected += 1;
-                if !dead.contains(&d.node) {
-                    dead.push(d.node);
-                    total.recovery.folded_nodes += 1;
+        }
+        (start, hops, dead_until)
+    }
+
+    /// Transmit once over `route`, reserving every link `[start, end)`.
+    fn transmit(&mut self, route: RouteLinks, start: u64, hops: usize, bytes: u64) -> u64 {
+        let end = start.saturating_add(self.mesh.cost.p2p(hops, bytes));
+        for l in route {
+            self.reserve_link(l.index(), end);
+        }
+        end
+    }
+
+    // --- the compiled engine ---------------------------------------------
+
+    /// Replay precompiled phases under `mode` with every payload scaled
+    /// by `byte_scale` — the batch-sweep fast path. Equals
+    /// [`PhaseSim::simulate_phases_mode`] on the scaled message sets
+    /// (uniform scaling preserves both the sorted order and the
+    /// longest-first priority).
+    pub fn run_cached_phases(
+        &mut self,
+        phases: &[CachedPhase],
+        mode: ScheduleMode,
+        byte_scale: u64,
+    ) -> u64 {
+        let shape = Schedule::of(SchedulePolicy::Fixed(mode), &[]);
+        let clean = CompiledFaultPlan::none();
+        self.replay(phases, &clean, 0, shape, byte_scale, None)
+            .makespan
+    }
+
+    /// The compiled driver: [`PhaseSim::drive`] over [`CachedPhase`]s
+    /// under the compiled `plan` with the run's `seed`. `recovery`
+    /// carries the checkpoint policy, the raw phases and the
+    /// folded-phase cache (see [`FaultSim`]).
+    fn replay(
+        &mut self,
+        phases: &[CachedPhase],
+        plan: &CompiledFaultPlan,
+        seed: u64,
+        shape: Schedule,
+        byte_scale: u64,
+        mut recovery: Option<(&CheckpointPolicy, &[Vec<PMsg>], &mut FoldCache)>,
+    ) -> FaultReport {
+        let deaths = match recovery {
+            Some(_) => plan.sorted_deaths(),
+            None => &[],
+        };
+        // Deaths are precompiled in handling order ((t, node), stable),
+        // so the per-call scan for the earliest visible unhandled death
+        // becomes one pointer: visibility is monotone along that order.
+        let mut next_death = 0usize;
+        // Unique deaths folded so far — the fold-table prefix in force.
+        let mut k = 0usize;
+        // A recovering transport ignores deaths; the driver rolls back.
+        let black_holes = recovery.is_none();
+        // A plan with no transport event runs the step without its fault
+        // branches (see [`PhaseSim::replay_step`]).
+        let step = if !plan.plan().is_zero_fault() {
+            Self::replay_step::<true>
+        } else {
+            Self::replay_step::<false>
+        };
+        let mut run = Run::new(recovery.as_ref().map(|r| r.0));
+        self.begin_run();
+        loop {
+            let i = run.i;
+            let mut pending = None;
+            if i < phases.len() {
+                run.checkpoint(self);
+                let (phase, dropped) = match &mut recovery {
+                    Some((_, raw, folds)) if k > 0 => {
+                        let mesh = &self.mesh;
+                        let entry = folds
+                            .entry((i, k))
+                            .or_insert_with(|| compile_folded(mesh, plan, &raw[i], k));
+                        (&entry.0, entry.1)
+                    }
+                    _ => (&phases[i], 0),
+                };
+                let release = run.release(shape);
+                let seed = seed.wrapping_add(i as u64);
+                let rep = step(
+                    self,
+                    phase,
+                    plan,
+                    black_holes,
+                    seed,
+                    shape.order,
+                    release,
+                    byte_scale,
+                );
+                pending = Some(run.close(rep, dropped, shape));
+            }
+            let visible = deaths.get(next_death).filter(|d| match &pending {
+                Some(p) => d.detect <= p.end,
+                None => d.t < run.now,
+            });
+            if let Some(d) = visible {
+                next_death += 1;
+                run.total.recovery.detected += 1;
+                if d.first {
+                    run.total.recovery.folded_nodes += 1;
                 }
-                // Roll back to the newest checkpoint at-or-before the
-                // death; if the ring already evicted it, the oldest
-                // surviving snapshot is the best we can do.
-                let pos = ring.iter().rposition(|c| c.elapsed <= d.t).unwrap_or(0);
-                ring.truncate(pos + 1);
-                let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.elapsed;
-                let recovery = total.recovery;
-                total = c.report;
-                total.recovery = recovery;
-                total.recovery.rollbacks += 1;
-                now = c.elapsed;
-                i = c.phase;
-                self.restore(c);
+                k = d.k_after;
+                let end = pending.map_or(run.now, |p| p.end);
+                run.rollback(self, d.t, end);
                 continue;
             }
-            let Some((rep, dropped)) = phase_rep else {
+            let Some(p) = pending else {
                 break;
             };
-            // Commit the phase.
-            total.absorb(&rep);
-            total.messages += dropped;
-            total.lost += dropped;
-            total.black_holes += dropped as u64;
-            now = phase_end;
-            if i < frontier {
-                total.recovery.replayed_phases += 1;
-            } else {
-                frontier = i + 1;
-            }
-            i += 1;
+            run.commit(p, shape);
         }
-        // Only deaths that struck the run count: one scheduled past the
-        // committed end never happened to this run. Struck ≡ handled —
-        // any death inside the committed span is caught by the final
-        // sweep, and a handled one caused a real rollback even if folding
-        // then shortened the schedule past its timestamp.
-        total.recovery.deaths = handled.iter().filter(|&&h| h).count();
-        total
+        run.total.recovery.deaths = next_death;
+        run.total
     }
 
-    /// Replay a precompiled phase (see [`CachedPhase`]).
-    pub fn run_cached(&mut self, phase: &CachedPhase) -> u64 {
-        self.run_cached_scaled(phase, 1)
-    }
-
-    /// Replay a precompiled phase with every payload multiplied by
-    /// `byte_scale` — the payload-sweep fast path. Scaling all payloads by
-    /// one factor preserves the oracle's sort order, so the result equals
-    /// `simulate_phase` on the scaled message set.
-    pub fn run_cached_scaled(&mut self, phase: &CachedPhase, byte_scale: u64) -> u64 {
-        self.begin_phase();
-        let mut makespan = 0u64;
-        for i in 0..phase.bytes.len() {
-            let (lo, hi) = (phase.offsets[i] as usize, phase.offsets[i + 1] as usize);
-            let mut start = 0u64;
-            for j in lo..hi {
-                start = start.max(self.link_free_at(phase.links[j] as usize));
-            }
-            let dur = self.mesh.cost.p2p(hi - lo, phase.bytes[i] * byte_scale);
-            let end = start + dur;
-            for j in lo..hi {
-                self.reserve_link(phase.links[j] as usize, end);
-            }
-            makespan = makespan.max(end);
-        }
-        makespan
-    }
-
-    /// Replay a precompiled phase under a precompiled fault plan:
-    /// bit-identical to [`PhaseSim::simulate_phase_faulty`] with
-    /// `FaultPlan { seed, ..plan }`, at [`CachedPhase`] speed — no
-    /// filtering, no sorting, no route arithmetic, and every outage
-    /// lookup is a binary search in a per-link/per-node bucket.
-    pub fn run_cached_faulty(
-        &mut self,
-        phase: &CachedFaultPhase,
-        plan: &CompiledFaultPlan,
-        seed: u64,
-    ) -> FaultReport {
-        self.run_cached_faulty_mode(phase, plan, seed, true)
-    }
-
-    /// `with_deaths = false` is the recovery driver's transport view
-    /// (deaths survived by rollback, not black-holed) — the compiled
-    /// twin of the oracle's `FaultPlan { node_deaths: vec![], .. }`.
-    fn run_cached_faulty_mode(
-        &mut self,
-        phase: &CachedFaultPhase,
-        plan: &CompiledFaultPlan,
-        seed: u64,
-        with_deaths: bool,
-    ) -> FaultReport {
-        self.begin_phase();
-        let mut rng = XorShift64::new(seed);
-        let p = plan.plan();
-        let mut rep = FaultReport {
-            messages: phase.len(),
-            ..FaultReport::default()
-        };
-        let max_attempts = if p.retry.enabled {
-            p.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        // Skipping a check block when the plan has no matching event is
-        // observationally identical: the oracle's scan would find
-        // nothing and no RNG draw happens on those paths.
-        let check_nodes = plan.check_nodes(with_deaths);
-        let check_links = plan.has_link_outages();
-        for i in 0..phase.len() {
-            let (src, dst) = (phase.src[i] as usize, phase.dst[i] as usize);
-            let xy = &phase.xy_links[phase.xy_off[i] as usize..phase.xy_off[i + 1] as usize];
-            let yx = &phase.yx_links[phase.yx_off[i] as usize..phase.yx_off[i + 1] as usize];
-            let dur = phase.dur[i];
-            let mut next_send = 0u64;
-            let mut attempt = 0u32;
-            loop {
-                if check_nodes {
-                    let alive = plan
-                        .node_alive_after_mode(src, next_send, with_deaths)
-                        .max(plan.node_alive_after_mode(dst, next_send, with_deaths));
-                    if alive == u64::MAX {
-                        rep.lost += 1;
-                        rep.black_holes += 1;
-                        break;
-                    }
-                    if alive > next_send {
-                        rep.deferrals += 1;
-                        next_send = alive;
-                        continue;
-                    }
-                }
-                let mut start = next_send;
-                for &l in xy {
-                    start = start.max(self.link_free_at(l as usize));
-                }
-                let xy_dead = if check_links {
-                    scan_outages(xy, start, plan)
-                } else {
-                    None
-                };
-                let (links, start) = if xy_dead.is_none() {
-                    (xy, start)
-                } else {
-                    let mut start_yx = next_send;
-                    for &l in yx {
-                        start_yx = start_yx.max(self.link_free_at(l as usize));
-                    }
-                    if let Some(yx_until) = scan_outages(yx, start_yx, plan) {
-                        rep.deferrals += 1;
-                        next_send = xy_dead
-                            .unwrap_or(u64::MAX)
-                            .min(yx_until)
-                            .max(next_send.saturating_add(1));
-                        continue;
-                    }
-                    rep.reroutes += 1;
-                    (yx, start_yx)
-                };
-                attempt += 1;
-                rep.attempts += 1;
-                let end = start.saturating_add(dur);
-                for &l in links {
-                    self.reserve_link(l as usize, end);
-                }
-                rep.makespan = rep.makespan.max(end);
-                let escalated = p.retry.enabled && attempt >= max_attempts;
-                let unlucky = rng.chance(p.drop_prob);
-                if unlucky && !escalated {
-                    if !p.retry.enabled {
-                        rep.lost += 1;
-                        break;
-                    }
-                    rep.retries += 1;
-                    next_send = end.saturating_add(p.retry.backoff_delay(attempt));
-                    continue;
-                }
-                if unlucky && escalated {
-                    rep.escalations += 1;
-                }
-                rep.delivered += 1;
-                if rng.chance(p.dup_prob) {
-                    rep.duplicates += 1;
-                    rep.attempts += 1;
-                    let end2 = end.saturating_add(dur);
-                    for &l in links {
-                        self.reserve_link(l as usize, end2);
-                    }
-                    rep.makespan = rep.makespan.max(end2);
-                }
-                break;
-            }
-        }
-        rep
-    }
-
-    /// Compiled twin of the overlapped-faulty step (see
-    /// [`crate::overlap`]): [`CachedFaultPhase`] replay through the
-    /// per-node ready/arrival timeline. The caller owns the run-wide
-    /// state — one `begin_phase()` per run, the readiness reset, and the
-    /// clock/barrier bookkeeping — so, unlike
-    /// [`PhaseSim::run_cached_faulty`], this must be driven phase by
-    /// phase on one shared link timeline.
+    /// The compiled step: [`PhaseSim::step`] over a [`CachedPhase`] —
+    /// no filtering, sorting or route arithmetic, and every outage
+    /// lookup a binary search. `deaths = false` is the recovering
+    /// transport's view (deaths survived by rollback, not black-holed).
+    /// `FAULTS = false` promises a [`FaultPlan::is_zero_fault`] plan, so
+    /// the clean instance — the payload sweep's hot loop — carries none
+    /// of the fault branches (they made it about 1.6× slower).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_cached_overlapped_faulty_step(
+    fn replay_step<const FAULTS: bool>(
         &mut self,
-        merge: bool,
-        phase: &CachedFaultPhase,
+        phase: &CachedPhase,
         plan: &CompiledFaultPlan,
+        deaths: bool,
         seed: u64,
         order: OverlapOrder,
-        with_deaths: bool,
-        barrier: bool,
-        clock: u64,
+        release: Release,
+        byte_scale: u64,
     ) -> FaultReport {
-        if merge {
-            if barrier {
-                self.node_ready.fill(clock);
-            } else {
-                for n in 0..self.node_ready.len() {
-                    if self.node_arrival[n] > self.node_ready[n] {
-                        self.node_ready[n] = self.node_arrival[n];
-                    }
-                }
-            }
-        }
-        self.order.clear();
-        self.order.extend(0..phase.len() as u32);
-        if order == OverlapOrder::LongestFirst {
-            let mut perm = std::mem::take(&mut self.order);
-            let ready = &self.node_ready;
-            perm.sort_by_key(|&i| {
-                let i = i as usize;
-                let hops = phase.xy_off[i + 1] - phase.xy_off[i];
-                (ready[phase.src[i] as usize], Reverse(hops), i as u32)
+        self.release(release);
+        let merge = !matches!(release, Release::Restart);
+        let longest = order == OverlapOrder::LongestFirst;
+        if longest {
+            prioritize(&mut self.order, phase.len(), &self.node_ready, |i| {
+                (phase.src[i] as usize, phase.hops(i))
             });
-            self.order = perm;
         }
-        let mut rng = XorShift64::new(seed);
         let p = plan.plan();
+        // As in the per-call step, checks with no matching event are
+        // skipped.
+        let live = FAULTS && plan.check_nodes(deaths);
+        let outages = FAULTS && plan.has_link_outages();
+        let random = FAULTS && !(p.drop_prob <= 0.0 && p.dup_prob <= 0.0);
+        let max_attempts = p.retry.attempt_cap();
+        let mut rng = XorShift64::new(seed);
         let mut rep = FaultReport {
             messages: phase.len(),
             ..FaultReport::default()
         };
-        let max_attempts = if p.retry.enabled {
-            p.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        let check_nodes = plan.check_nodes(with_deaths);
-        let check_links = plan.has_link_outages();
-        for oi in 0..self.order.len() {
-            let i = self.order[oi] as usize;
+        for oi in 0..phase.len() {
+            let i = if longest { self.order[oi] as usize } else { oi };
             let (src, dst) = (phase.src[i] as usize, phase.dst[i] as usize);
-            let xy = &phase.xy_links[phase.xy_off[i] as usize..phase.xy_off[i + 1] as usize];
-            let yx = &phase.yx_links[phase.yx_off[i] as usize..phase.yx_off[i + 1] as usize];
-            let dur = phase.dur[i];
+            let (lo, hi) = (phase.offsets[i] as usize, phase.offsets[i + 1] as usize);
+            let xy = &phase.links[lo..hi];
+            let dur = self.mesh.cost.p2p(hi - lo, phase.bytes[i] * byte_scale);
             let mut next_send = self.node_ready[src];
             let mut attempt = 0u32;
             loop {
-                if check_nodes {
+                if live {
                     let alive = plan
-                        .node_alive_after_mode(src, next_send, with_deaths)
-                        .max(plan.node_alive_after_mode(dst, next_send, with_deaths));
+                        .node_alive_after_mode(src, next_send, deaths)
+                        .max(plan.node_alive_after_mode(dst, next_send, deaths));
                     if alive == u64::MAX {
                         rep.lost += 1;
                         rep.black_holes += 1;
@@ -775,32 +773,25 @@ impl PhaseSim {
                         continue;
                     }
                 }
-                let mut start = next_send;
-                for &l in xy {
-                    start = start.max(self.link_free_at(l as usize));
-                }
-                let xy_dead = if check_links {
+                let start = self.route_start(xy, next_send);
+                let xy_dead = if outages {
                     scan_outages(xy, start, plan)
                 } else {
                     None
                 };
-                let (links, start) = if xy_dead.is_none() {
-                    (xy, start)
-                } else {
-                    let mut start_yx = next_send;
-                    for &l in yx {
-                        start_yx = start_yx.max(self.link_free_at(l as usize));
+                let (links, start) = match xy_dead {
+                    Some(xy_until) => {
+                        let yx = &phase.yx_links[lo..hi];
+                        let start_yx = self.route_start(yx, next_send);
+                        if let Some(yx_until) = scan_outages(yx, start_yx, plan) {
+                            rep.deferrals += 1;
+                            next_send = xy_until.min(yx_until).max(next_send.saturating_add(1));
+                            continue;
+                        }
+                        rep.reroutes += 1;
+                        (yx, start_yx)
                     }
-                    if let Some(yx_until) = scan_outages(yx, start_yx, plan) {
-                        rep.deferrals += 1;
-                        next_send = xy_dead
-                            .unwrap_or(u64::MAX)
-                            .min(yx_until)
-                            .max(next_send.saturating_add(1));
-                        continue;
-                    }
-                    rep.reroutes += 1;
-                    (yx, start_yx)
+                    None => (xy, start),
                 };
                 attempt += 1;
                 rep.attempts += 1;
@@ -810,7 +801,7 @@ impl PhaseSim {
                 }
                 rep.makespan = rep.makespan.max(end);
                 let escalated = p.retry.enabled && attempt >= max_attempts;
-                let unlucky = rng.chance(p.drop_prob);
+                let unlucky = random && rng.chance(p.drop_prob);
                 if unlucky && !escalated {
                     if !p.retry.enabled {
                         rep.lost += 1;
@@ -824,10 +815,10 @@ impl PhaseSim {
                     rep.escalations += 1;
                 }
                 rep.delivered += 1;
-                if end > self.node_arrival[dst] {
-                    self.node_arrival[dst] = end;
+                if merge {
+                    self.node_arrival[dst] = self.node_arrival[dst].max(end);
                 }
-                if rng.chance(p.dup_prob) {
+                if random && rng.chance(p.dup_prob) {
                     rep.duplicates += 1;
                     rep.attempts += 1;
                     let end2 = end.saturating_add(dur);
@@ -841,13 +832,38 @@ impl PhaseSim {
         }
         rep
     }
+
+    /// Earliest start ≥ `not_before` at which every link is free.
+    #[inline]
+    fn route_start(&self, links: &[u32], not_before: u64) -> u64 {
+        links
+            .iter()
+            .fold(not_before, |t, &l| t.max(self.link_free_at(l as usize)))
+    }
+}
+
+/// Fill `order` with the [`OverlapOrder::LongestFirst`] permutation of
+/// `n` sorted messages: (release time, longest route first, sorted
+/// index). `src_hops(i)` is message `i`'s source and hop count.
+fn prioritize(
+    order: &mut Vec<u32>,
+    n: usize,
+    ready: &[u64],
+    src_hops: impl Fn(usize) -> (usize, usize),
+) {
+    order.clear();
+    order.extend(0..n as u32);
+    order.sort_by_key(|&i| {
+        let (src, hops) = src_hops(i as usize);
+        (ready[src], Reverse(hops), i)
+    });
 }
 
 /// Earliest comeback time among route links inside an outage window at
-/// `start` — the compiled twin of the oracle's per-link
-/// [`FaultPlan::link_outage_until`] scan inside `scan_route`.
+/// `start` — the compiled form of the per-link
+/// [`FaultPlan::link_outage_until`] scan in `scan_route`.
 #[inline]
-pub(crate) fn scan_outages(links: &[u32], start: u64, plan: &CompiledFaultPlan) -> Option<u64> {
+fn scan_outages(links: &[u32], start: u64, plan: &CompiledFaultPlan) -> Option<u64> {
     let mut dead_until: Option<u64> = None;
     for &l in links {
         if let Some(u) = plan.link_outage_until(l as usize, start) {
@@ -857,8 +873,139 @@ pub(crate) fn scan_outages(links: &[u32], start: u64, plan: &CompiledFaultPlan) 
     dead_until
 }
 
-/// When and how often [`PhaseSim::simulate_phases_recovering`] takes
-/// checkpoints, and how many it keeps.
+/// The committed run both drivers walk: clock, report, the adaptive
+/// barrier flag, and the checkpoint ring.
+struct Run<'a> {
+    policy: Option<&'a CheckpointPolicy>,
+    ring: VecDeque<Checkpoint>,
+    total: FaultReport,
+    /// Committed clock, in ns.
+    now: u64,
+    /// Adaptive downgrade in force (see [`Release::Barrier`]).
+    barrier: bool,
+    /// Next phase to run.
+    i: usize,
+    /// Highest phase index committed so far (exclusive): commits below
+    /// it are re-executions after a rollback.
+    frontier: usize,
+}
+
+/// A phase that ran but is not committed yet.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// The step's report, its `makespan` re-expressed as the clock
+    /// advance.
+    rep: FaultReport,
+    /// Messages dropped by the fold (no survivor to take them).
+    dropped: usize,
+    /// Committed clock once this phase commits.
+    end: u64,
+}
+
+impl<'a> Run<'a> {
+    fn new(policy: Option<&'a CheckpointPolicy>) -> Self {
+        Run {
+            policy,
+            ring: VecDeque::new(),
+            total: FaultReport::default(),
+            now: 0,
+            barrier: false,
+            i: 0,
+            frontier: 0,
+        }
+    }
+
+    fn release(&self, shape: Schedule) -> Release {
+        if shape.restart {
+            Release::Restart
+        } else if self.barrier {
+            Release::Barrier(self.now)
+        } else {
+            Release::Merge
+        }
+    }
+
+    /// Checkpoint at the boundary of phase `i` if the policy asks for
+    /// one — unless the rollback just taken restored exactly this point
+    /// (its snapshot is already the ring's newest entry).
+    fn checkpoint(&mut self, sim: &PhaseSim) {
+        let Some(policy) = self.policy else {
+            return;
+        };
+        let due = self.i % policy.interval.max(1) == 0;
+        if due
+            && self
+                .ring
+                .back()
+                .is_none_or(|c| c.phase != self.i || c.elapsed != self.now)
+        {
+            if self.ring.len() == policy.ring.max(1) {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(sim.checkpoint(self));
+            self.total.recovery.checkpoints += 1;
+            self.total.recovery.checkpoint_overhead_ns += policy.cost_ns;
+        }
+    }
+
+    /// Turn a step's report into a pending phase: the clock advances by
+    /// `max(base, latest end) - base`, where `base` is 0 on a restarted
+    /// phase-local clock and the committed clock otherwise — so absorbed
+    /// reports sum to the final clock under every schedule.
+    fn close(&self, mut rep: FaultReport, dropped: usize, shape: Schedule) -> Pending {
+        let base = if shape.restart { 0 } else { self.now };
+        rep.makespan = base.max(rep.makespan) - base;
+        Pending {
+            rep,
+            dropped,
+            end: self.now + rep.makespan,
+        }
+    }
+
+    /// Commit a phase; the adaptive policy degrades to barriers for the
+    /// rest of the run once the committed clock crosses its threshold
+    /// over the healthy prefix.
+    fn commit(&mut self, p: Pending, shape: Schedule) {
+        self.total.absorb(&p.rep);
+        self.total.messages += p.dropped;
+        self.total.lost += p.dropped;
+        self.total.black_holes += p.dropped as u64;
+        self.now = p.end;
+        if let Some((threshold, prefix)) = shape.adapt {
+            if !self.barrier && inflation_exceeded(self.now, prefix[self.i], threshold) {
+                self.barrier = true;
+                self.total.downgrades += 1;
+            }
+        }
+        if self.i < self.frontier {
+            self.total.recovery.replayed_phases += 1;
+        } else {
+            self.frontier = self.i + 1;
+        }
+        self.i += 1;
+    }
+
+    /// Roll back to the newest checkpoint at-or-before a death at `t`
+    /// (the oldest surviving one if the ring already evicted it); the
+    /// work from there to `end` is lost.
+    fn rollback(&mut self, sim: &mut PhaseSim, t: u64, end: u64) {
+        let pos = self.ring.iter().rposition(|c| c.elapsed <= t).unwrap_or(0);
+        self.ring.truncate(pos + 1);
+        let c = self.ring.back().expect("phase 0 is always checkpointed");
+        let mut recovery = self.total.recovery;
+        recovery.lost_work_ns += end - c.elapsed;
+        recovery.rollbacks += 1;
+        self.total = c.report;
+        self.total.recovery = recovery;
+        self.now = c.elapsed;
+        self.i = c.phase;
+        self.barrier = c.barrier;
+        sim.restore(c);
+    }
+}
+
+/// When and how often the recovering drivers take checkpoints, and how
+/// many they keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint every `interval` phases (clamped to ≥ 1). Small
@@ -885,89 +1032,74 @@ impl Default for CheckpointPolicy {
     }
 }
 
-/// A phase-boundary snapshot of the committed run: enough to roll the
-/// engine and the accounting back and replay from here.
+/// A phase-boundary snapshot of the committed run: the accounting, the
+/// link clocks and the per-node timeline — rollback must restore
+/// readiness too, or the replay would release messages against a future
+/// that was undone.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
+struct Checkpoint {
     /// Next phase to execute when restored.
-    pub(crate) phase: usize,
+    phase: usize,
     /// Committed simulated time at the boundary, in ns.
-    pub(crate) elapsed: u64,
+    elapsed: u64,
     /// Committed fault accounting at the boundary.
-    pub(crate) report: FaultReport,
-    /// Link-clock scratch state (valid where `stamp` matches `epoch`).
+    report: FaultReport,
+    /// The adaptive policy's downgrade flag at the boundary.
+    barrier: bool,
     free: Vec<u64>,
     stamp: Vec<u32>,
     epoch: u32,
-}
-
-/// A [`Checkpoint`] extended with the overlapped scheduler's per-node
-/// timeline (and the adaptive policy's degradation flag): rollback in
-/// overlapped mode must restore readiness/arrival state too, or the
-/// replay would release messages against a future that was undone.
-#[derive(Debug, Clone)]
-pub(crate) struct OverlapCheckpoint {
-    pub(crate) base: Checkpoint,
     node_ready: Vec<u64>,
     node_arrival: Vec<u64>,
-    pub(crate) barrier: bool,
-}
-
-impl Checkpoint {
-    /// The phase this snapshot resumes at.
-    pub fn phase(&self) -> usize {
-        self.phase
-    }
-
-    /// Committed simulated time at the snapshot, in ns.
-    pub fn elapsed(&self) -> u64 {
-        self.elapsed
-    }
 }
 
 /// A phase compiled for repeated replay: messages filtered and sorted
-/// exactly as the greedy scheduler wants them, with all routes flattened
-/// into one dense link table.
+/// exactly as the greedy scheduler wants them, with both routes of every
+/// message flattened into dense link tables — XY, and the YX fallback
+/// taken around a dead link. The two routes have the same hop count, so
+/// they share one offset table.
 #[derive(Debug, Clone)]
 pub struct CachedPhase {
-    /// Concatenated route link indices of every message, in schedule order.
+    /// Concatenated XY route link indices, in schedule order.
     pub(crate) links: Vec<u32>,
-    /// Prefix offsets into `links` (`len + 1` entries).
+    /// Concatenated YX route link indices.
+    pub(crate) yx_links: Vec<u32>,
+    /// Prefix offsets into both link tables (`len + 1` entries).
     pub(crate) offsets: Vec<u32>,
     /// Payload of each scheduled message.
     pub(crate) bytes: Vec<u64>,
-    /// Endpoints of each scheduled message — used by the overlapped
-    /// replay path to track per-node readiness (see [`crate::overlap`]).
+    /// Endpoints of each scheduled message.
     pub(crate) src: Vec<u32>,
     pub(crate) dst: Vec<u32>,
 }
 
 impl CachedPhase {
     /// Compile `msgs` for `mesh`: filter self-messages, sort, and record
-    /// every route once.
+    /// both routes of every message once.
     pub fn new(mesh: &Mesh2D, msgs: &[PMsg]) -> Self {
         let mut sorted: Vec<PMsg> = msgs.iter().copied().filter(|m| m.src != m.dst).collect();
         sorted.sort_unstable();
-        let mut links = Vec::new();
-        let mut offsets = Vec::with_capacity(sorted.len() + 1);
-        let mut bytes = Vec::with_capacity(sorted.len());
-        let mut src = Vec::with_capacity(sorted.len());
-        let mut dst = Vec::with_capacity(sorted.len());
-        offsets.push(0);
+        let n = sorted.len();
+        let mut out = CachedPhase {
+            links: Vec::new(),
+            yx_links: Vec::new(),
+            offsets: Vec::with_capacity(n + 1),
+            bytes: Vec::with_capacity(n),
+            src: Vec::with_capacity(n),
+            dst: Vec::with_capacity(n),
+        };
+        out.offsets.push(0);
         for m in &sorted {
-            links.extend(mesh.route_links(m.src, m.dst).map(|l| l.index() as u32));
-            offsets.push(links.len() as u32);
-            bytes.push(m.bytes);
-            src.push(m.src as u32);
-            dst.push(m.dst as u32);
+            let index = |l: crate::mesh::LinkId| l.index() as u32;
+            out.links.extend(mesh.route_links(m.src, m.dst).map(index));
+            out.yx_links
+                .extend(mesh.route_links_yx(m.src, m.dst).map(index));
+            out.offsets.push(out.links.len() as u32);
+            out.bytes.push(m.bytes);
+            out.src.push(m.src as u32);
+            out.dst.push(m.dst as u32);
         }
-        CachedPhase {
-            links,
-            offsets,
-            bytes,
-            src,
-            dst,
-        }
+        out
     }
 
     /// Number of scheduled (non-local) messages.
@@ -979,92 +1111,32 @@ impl CachedPhase {
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
-}
 
-/// A phase compiled for repeated *faulty* replay: like [`CachedPhase`],
-/// but with **both** routes of every message flattened (XY, and the YX
-/// fallback taken around a dead link), the endpoints kept for liveness
-/// checks, and the transmission duration precomputed (XY and YX have
-/// the same hop count, hence the same cost).
-#[derive(Debug, Clone)]
-pub struct CachedFaultPhase {
-    pub(crate) src: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
-    /// Concatenated XY route links, in schedule order.
-    pub(crate) xy_links: Vec<u32>,
-    pub(crate) xy_off: Vec<u32>,
-    /// Concatenated YX route links.
-    pub(crate) yx_links: Vec<u32>,
-    pub(crate) yx_off: Vec<u32>,
-    /// `cost.p2p(hops, bytes)` of each scheduled message.
-    pub(crate) dur: Vec<u64>,
-}
-
-impl CachedFaultPhase {
-    /// Compile `msgs` for `mesh`: filter self-messages, sort, and record
-    /// both routes and the per-message cost once.
-    pub fn new(mesh: &Mesh2D, msgs: &[PMsg]) -> Self {
-        let mut sorted: Vec<PMsg> = msgs.iter().copied().filter(|m| m.src != m.dst).collect();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let mut out = CachedFaultPhase {
-            src: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            xy_links: Vec::new(),
-            xy_off: Vec::with_capacity(n + 1),
-            yx_links: Vec::new(),
-            yx_off: Vec::with_capacity(n + 1),
-            dur: Vec::with_capacity(n),
-        };
-        out.xy_off.push(0);
-        out.yx_off.push(0);
-        for m in &sorted {
-            out.src.push(m.src as u32);
-            out.dst.push(m.dst as u32);
-            out.xy_links
-                .extend(mesh.route_links(m.src, m.dst).map(|l| l.index() as u32));
-            out.xy_off.push(out.xy_links.len() as u32);
-            out.yx_links
-                .extend(mesh.route_links_yx(m.src, m.dst).map(|l| l.index() as u32));
-            out.yx_off.push(out.yx_links.len() as u32);
-            out.dur
-                .push(mesh.cost.p2p(mesh.hops(m.src, m.dst), m.bytes));
-        }
-        out
-    }
-
-    /// Number of scheduled (non-local) messages.
-    pub fn len(&self) -> usize {
-        self.dur.len()
-    }
-
-    /// True when no message crosses a link.
-    pub fn is_empty(&self) -> bool {
-        self.dur.is_empty()
+    /// Route length of message `i`.
+    fn hops(&self, i: usize) -> usize {
+        (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 }
+
+/// Folded phases of a recovering replay, keyed by `(phase index, unique
+/// deaths folded)`, with the dropped (no-survivor) message count.
+type FoldCache = BTreeMap<(usize, usize), (CachedPhase, usize)>;
 
 /// The compiled fault-simulation engine: one phase set, one fault plan,
-/// many seeds. Compiles every phase once ([`CachedFaultPhase`]) and the
-/// plan once ([`CompiledFaultPlan`]), then replays the whole run per
-/// seed with zero routing or sorting work. Every replay is
-/// **bit-identical** to the per-call oracle with the same seed
-/// substituted into the plan
-/// ([`PhaseSim::simulate_phases_faulty`] /
-/// [`PhaseSim::simulate_phases_recovering`]) — pinned by differential
-/// property tests.
+/// many seeds. Compiles every phase once ([`CachedPhase`]) and the plan
+/// once ([`CompiledFaultPlan`]), then replays the whole run per seed
+/// with zero routing or sorting work. Every replay is **bit-identical**
+/// to [`PhaseSim::simulate`] with the same seed substituted into the
+/// plan — pinned by differential property tests.
 #[derive(Debug, Clone)]
 pub struct FaultSim {
     sim: PhaseSim,
     plan: CompiledFaultPlan,
     phases: Vec<Vec<PMsg>>,
-    cached: Vec<CachedFaultPhase>,
-    /// Folded-phase cache for the recovering path, keyed by
-    /// `(phase index, unique deaths folded)` and holding the dropped
-    /// (no-survivor) message count. Fold outcomes depend only on the
-    /// plan's death order — never on the seed — so entries are reused
-    /// across all replications.
-    folded: BTreeMap<(usize, usize), (CachedFaultPhase, usize)>,
+    cached: Vec<CachedPhase>,
+    /// Fold outcomes depend only on the plan's death order — never on
+    /// the seed — so entries are reused across all replications.
+    folded: FoldCache,
     /// Healthy overlapped prefix makespans — the adaptive policy's
     /// baseline. Computed lazily from the (plan-independent) phases on
     /// the first adaptive run; survives [`FaultSim::set_plan`].
@@ -1078,10 +1150,7 @@ impl FaultSim {
             sim: PhaseSim::new(mesh.clone()),
             plan: CompiledFaultPlan::new(plan, mesh),
             phases: phases.to_vec(),
-            cached: phases
-                .iter()
-                .map(|p| CachedFaultPhase::new(mesh, p))
-                .collect(),
+            cached: phases.iter().map(|p| CachedPhase::new(mesh, p)).collect(),
             folded: BTreeMap::new(),
             healthy_prefix: None,
         }
@@ -1105,85 +1174,26 @@ impl FaultSim {
         self.folded.clear();
     }
 
+    /// The adaptive baseline, computed on first use (the per-call
+    /// engine's healthy overlapped prefix of the raw phases).
+    fn prepare(&mut self, sched: SchedulePolicy) {
+        if matches!(sched, SchedulePolicy::Adaptive { .. }) && self.healthy_prefix.is_none() {
+            let prefix = self
+                .sim
+                .simulate_phases_overlapped_prefix(&self.phases, OverlapOrder::Sorted);
+            self.healthy_prefix = Some(prefix);
+        }
+    }
+
     /// Replay the whole run once with `seed` substituted for the plan's:
-    /// bit-identical to [`PhaseSim::simulate_phases_faulty_policy`] with
-    /// `FaultPlan { seed, ..plan }` under the same `sched`.
+    /// bit-identical to [`PhaseSim::simulate`] with
+    /// `FaultPlan { seed, ..plan }`, the same `sched` and no recovery.
     pub fn run_faulty(&mut self, seed: u64, sched: SchedulePolicy) -> FaultReport {
-        match sched {
-            SchedulePolicy::Fixed(ScheduleMode::Phased) => self.run_faulty_phased(seed),
-            SchedulePolicy::Fixed(ScheduleMode::Overlapped(order)) => {
-                self.run_faulty_overlapped(seed, order, None)
-            }
-            SchedulePolicy::Adaptive {
-                inflation_threshold,
-            } => self.run_faulty_overlapped(seed, OverlapOrder::Sorted, Some(inflation_threshold)),
-        }
-    }
-
-    /// The historical phased replay: dependent phases back to back,
-    /// per-phase clock, summed reports.
-    fn run_faulty_phased(&mut self, seed: u64) -> FaultReport {
-        let mut total = FaultReport::default();
-        for (i, c) in self.cached.iter().enumerate() {
-            let rep =
-                self.sim
-                    .run_cached_faulty_mode(c, &self.plan, seed.wrapping_add(i as u64), true);
-            total.absorb(&rep);
-        }
-        total
-    }
-
-    /// Healthy overlapped prefix makespans (fault-free, `Sorted`) — the
-    /// adaptive baseline, identical by construction to the oracle's
-    /// [`PhaseSim::simulate_phases_overlapped_prefix`] on the raw
-    /// phases. Plan-independent, so it survives [`FaultSim::set_plan`].
-    fn healthy_overlapped_prefix(&mut self) -> Vec<u64> {
-        if self.healthy_prefix.is_none() {
-            self.healthy_prefix = Some(
-                self.sim
-                    .simulate_phases_overlapped_prefix(&self.phases, OverlapOrder::Sorted),
-            );
-        }
-        self.healthy_prefix.clone().unwrap()
-    }
-
-    /// Compiled twin of the oracle's overlapped-faulty driver.
-    fn run_faulty_overlapped(
-        &mut self,
-        seed: u64,
-        order: OverlapOrder,
-        adapt: Option<f64>,
-    ) -> FaultReport {
-        let adapt = adapt.map(|t| (t, self.healthy_overlapped_prefix()));
-        self.sim.node_ready.fill(0);
-        self.sim.node_arrival.fill(0);
-        self.sim.begin_phase();
-        let mut total = FaultReport::default();
-        let mut clock = 0u64;
-        let mut barrier = false;
-        for (i, c) in self.cached.iter().enumerate() {
-            let mut rep = self.sim.run_cached_overlapped_faulty_step(
-                i > 0,
-                c,
-                &self.plan,
-                seed.wrapping_add(i as u64),
-                order,
-                true,
-                barrier,
-                clock,
-            );
-            let advanced = clock.max(rep.makespan);
-            rep.makespan = advanced - clock;
-            clock = advanced;
-            total.absorb(&rep);
-            if let Some((threshold, prefix)) = &adapt {
-                if !barrier && inflation_exceeded(clock, prefix[i], *threshold) {
-                    barrier = true;
-                    total.downgrades += 1;
-                }
-            }
-        }
-        total
+        self.prepare(sched);
+        let prefix = self.healthy_prefix.as_deref().unwrap_or_default();
+        let shape = Schedule::of(sched, prefix);
+        self.sim
+            .replay(&self.cached, &self.plan, seed, shape, 1, None)
     }
 
     /// Per-phase reports of the **phased** replay (same per-phase seed
@@ -1192,12 +1202,12 @@ impl FaultSim {
     /// Overlapped runs have no per-phase decomposition — a phase's
     /// schedule depends on every earlier phase's arrivals.
     pub fn run_faulty_per_phase(&mut self, seed: u64) -> Vec<FaultReport> {
-        self.cached
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
+        let shape = Schedule::of(SchedulePolicy::default(), &[]);
+        (0..self.cached.len())
+            .map(|i| {
+                let seed = seed.wrapping_add(i as u64);
                 self.sim
-                    .run_cached_faulty_mode(c, &self.plan, seed.wrapping_add(i as u64), true)
+                    .replay(&self.cached[i..=i], &self.plan, seed, shape, 1, None)
             })
             .collect()
     }
@@ -1209,258 +1219,20 @@ impl FaultSim {
     }
 
     /// Replay the checkpoint/rollback run once with `seed` substituted
-    /// for the plan's: bit-identical to
-    /// [`PhaseSim::simulate_phases_recovering_policy`] with
-    /// `FaultPlan { seed, ..plan }` under the same `sched`.
+    /// for the plan's: bit-identical to [`PhaseSim::simulate`] with
+    /// `FaultPlan { seed, ..plan }`, the same `sched` and `policy`.
     pub fn run_recovering(
         &mut self,
         policy: &CheckpointPolicy,
         seed: u64,
         sched: SchedulePolicy,
     ) -> FaultReport {
-        match sched {
-            SchedulePolicy::Fixed(ScheduleMode::Phased) => self.run_recovering_phased(policy, seed),
-            SchedulePolicy::Fixed(ScheduleMode::Overlapped(order)) => {
-                self.run_recovering_overlapped(policy, seed, order, None)
-            }
-            SchedulePolicy::Adaptive {
-                inflation_threshold,
-            } => self.run_recovering_overlapped(
-                policy,
-                seed,
-                OverlapOrder::Sorted,
-                Some(inflation_threshold),
-            ),
-        }
-    }
-
-    fn run_recovering_phased(&mut self, policy: &CheckpointPolicy, seed: u64) -> FaultReport {
-        let FaultSim {
-            sim,
-            plan,
-            phases,
-            cached,
-            folded,
-            ..
-        } = self;
-        let mesh = sim.mesh().clone();
-        let interval = policy.interval.max(1);
-        let ring_cap = policy.ring.max(1);
-        let deaths = plan.sorted_deaths();
-        let mut total = FaultReport::default();
-        // Deaths are precompiled in handling order ((t, node), stable),
-        // so the oracle's scan for the earliest visible unhandled death
-        // becomes one pointer: visibility is monotone along that order.
-        let mut next_death = 0usize;
-        // Unique deaths folded so far — the fold-table prefix in force.
-        let mut k = 0usize;
-        let mut ring: VecDeque<Checkpoint> = VecDeque::new();
-        let mut now = 0u64;
-        let mut frontier = 0usize;
-        let mut i = 0usize;
-        loop {
-            let mut phase_end = now;
-            let mut phase_rep: Option<(FaultReport, usize)> = None;
-            if i < phases.len() {
-                if i % interval == 0 && ring.back().is_none_or(|c| c.phase != i || c.elapsed != now)
-                {
-                    if ring.len() == ring_cap {
-                        ring.pop_front();
-                    }
-                    ring.push_back(sim.checkpoint(i, now, total));
-                    total.recovery.checkpoints += 1;
-                    total.recovery.checkpoint_overhead_ns += policy.cost_ns;
-                }
-                let (phase, dropped): (&CachedFaultPhase, usize) = if k == 0 {
-                    (&cached[i], 0)
-                } else {
-                    let entry = folded
-                        .entry((i, k))
-                        .or_insert_with(|| compile_folded(&mesh, plan, &phases[i], k));
-                    (&entry.0, entry.1)
-                };
-                let seed_i = seed.wrapping_add(i as u64);
-                let rep = sim.run_cached_faulty_mode(phase, plan, seed_i, false);
-                phase_end = now + rep.makespan;
-                phase_rep = Some((rep, dropped));
-            }
-            let visible = next_death < deaths.len() && {
-                let d = &deaths[next_death];
-                if phase_rep.is_some() {
-                    d.detect <= phase_end
-                } else {
-                    d.t < now
-                }
-            };
-            if visible {
-                let d = &deaths[next_death];
-                next_death += 1;
-                total.recovery.detected += 1;
-                if d.first {
-                    total.recovery.folded_nodes += 1;
-                }
-                k = d.k_after;
-                let pos = ring.iter().rposition(|c| c.elapsed <= d.t).unwrap_or(0);
-                ring.truncate(pos + 1);
-                let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.elapsed;
-                let recovery = total.recovery;
-                total = c.report;
-                total.recovery = recovery;
-                total.recovery.rollbacks += 1;
-                now = c.elapsed;
-                i = c.phase;
-                sim.restore(c);
-                continue;
-            }
-            let Some((rep, dropped)) = phase_rep else {
-                break;
-            };
-            total.absorb(&rep);
-            total.messages += dropped;
-            total.lost += dropped;
-            total.black_holes += dropped as u64;
-            now = phase_end;
-            if i < frontier {
-                total.recovery.replayed_phases += 1;
-            } else {
-                frontier = i + 1;
-            }
-            i += 1;
-        }
-        total.recovery.deaths = next_death;
-        total
-    }
-
-    /// Compiled twin of the oracle's overlapped recovering driver: the
-    /// same checkpoint/rollback structure as the phased replay, with
-    /// the overlapped step, [`OverlapCheckpoint`] snapshots and
-    /// (optionally) adaptive degradation.
-    fn run_recovering_overlapped(
-        &mut self,
-        policy: &CheckpointPolicy,
-        seed: u64,
-        order: OverlapOrder,
-        adapt: Option<f64>,
-    ) -> FaultReport {
-        let adapt = adapt.map(|t| (t, self.healthy_overlapped_prefix()));
-        let FaultSim {
-            sim,
-            plan,
-            phases,
-            cached,
-            folded,
-            ..
-        } = self;
-        let mesh = sim.mesh().clone();
-        let interval = policy.interval.max(1);
-        let ring_cap = policy.ring.max(1);
-        let deaths = plan.sorted_deaths();
-        sim.node_ready.fill(0);
-        sim.node_arrival.fill(0);
-        sim.begin_phase();
-        let mut total = FaultReport::default();
-        let mut next_death = 0usize;
-        let mut k = 0usize;
-        let mut ring: VecDeque<OverlapCheckpoint> = VecDeque::new();
-        let mut now = 0u64;
-        let mut barrier = false;
-        let mut frontier = 0usize;
-        let mut i = 0usize;
-        loop {
-            let mut phase_end = now;
-            let mut phase_rep: Option<(FaultReport, usize)> = None;
-            if i < phases.len() {
-                if i % interval == 0
-                    && ring
-                        .back()
-                        .is_none_or(|c| c.base.phase != i || c.base.elapsed != now)
-                {
-                    if ring.len() == ring_cap {
-                        ring.pop_front();
-                    }
-                    ring.push_back(sim.checkpoint_overlapped(i, now, total, barrier));
-                    total.recovery.checkpoints += 1;
-                    total.recovery.checkpoint_overhead_ns += policy.cost_ns;
-                }
-                let (phase, dropped): (&CachedFaultPhase, usize) = if k == 0 {
-                    (&cached[i], 0)
-                } else {
-                    let entry = folded
-                        .entry((i, k))
-                        .or_insert_with(|| compile_folded(&mesh, plan, &phases[i], k));
-                    (&entry.0, entry.1)
-                };
-                let mut rep = sim.run_cached_overlapped_faulty_step(
-                    i > 0,
-                    phase,
-                    plan,
-                    seed.wrapping_add(i as u64),
-                    order,
-                    false,
-                    barrier,
-                    now,
-                );
-                phase_end = now.max(rep.makespan);
-                rep.makespan = phase_end - now;
-                phase_rep = Some((rep, dropped));
-            }
-            let visible = next_death < deaths.len() && {
-                let d = &deaths[next_death];
-                if phase_rep.is_some() {
-                    d.detect <= phase_end
-                } else {
-                    d.t < now
-                }
-            };
-            if visible {
-                let d = &deaths[next_death];
-                next_death += 1;
-                total.recovery.detected += 1;
-                if d.first {
-                    total.recovery.folded_nodes += 1;
-                }
-                k = d.k_after;
-                let pos = ring
-                    .iter()
-                    .rposition(|c| c.base.elapsed <= d.t)
-                    .unwrap_or(0);
-                ring.truncate(pos + 1);
-                let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.base.elapsed;
-                let recovery = total.recovery;
-                total = c.base.report;
-                total.recovery = recovery;
-                total.recovery.rollbacks += 1;
-                now = c.base.elapsed;
-                i = c.base.phase;
-                barrier = c.barrier;
-                sim.restore_overlapped(c);
-                continue;
-            }
-            let Some((rep, dropped)) = phase_rep else {
-                break;
-            };
-            total.absorb(&rep);
-            total.messages += dropped;
-            total.lost += dropped;
-            total.black_holes += dropped as u64;
-            now = phase_end;
-            if let Some((threshold, prefix)) = &adapt {
-                if !barrier && inflation_exceeded(now, prefix[i], *threshold) {
-                    barrier = true;
-                    total.downgrades += 1;
-                }
-            }
-            if i < frontier {
-                total.recovery.replayed_phases += 1;
-            } else {
-                frontier = i + 1;
-            }
-            i += 1;
-        }
-        total.recovery.deaths = next_death;
-        total
+        self.prepare(sched);
+        let prefix = self.healthy_prefix.as_deref().unwrap_or_default();
+        let shape = Schedule::of(sched, prefix);
+        let recovery = Some((policy, &self.phases[..], &mut self.folded));
+        self.sim
+            .replay(&self.cached, &self.plan, seed, shape, 1, recovery)
     }
 
     /// Replay one recovering run per seed under `sched` — the Monte
@@ -1481,14 +1253,14 @@ impl FaultSim {
 }
 
 /// Fold one raw phase for the first `k` unique deaths and compile it:
-/// the compiled twin of the recovering oracle's per-message
-/// [`fold_target`] block, returning the dropped (no-survivor) count.
+/// the compiled form of the per-call driver's [`fold_target`] block,
+/// returning the dropped (no-survivor) count.
 fn compile_folded(
     mesh: &Mesh2D,
     plan: &CompiledFaultPlan,
     raw: &[PMsg],
     k: usize,
-) -> (CachedFaultPhase, usize) {
+) -> (CachedPhase, usize) {
     let mut folded = Vec::with_capacity(raw.len());
     let mut dropped = 0usize;
     for m in raw {
@@ -1497,27 +1269,31 @@ fn compile_folded(
             _ => dropped += 1,
         }
     }
-    (CachedFaultPhase::new(mesh, &folded), dropped)
-}
-
-/// Fan a batch of *independent* phases out over worker threads, one
-/// [`PhaseSim`] per thread; returns each phase's makespan in input order.
-pub fn simulate_phases_batch(mesh: &Mesh2D, phases: &[Vec<PMsg>], threads: usize) -> Vec<u64> {
-    crate::sweep::par_sweep_with(
-        phases,
-        threads,
-        || PhaseSim::new(mesh.clone()),
-        |sim, phase| sim.simulate_phase(phase),
-    )
+    (CachedPhase::new(mesh, &folded), dropped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::CostModel;
+    use crate::sweep::par_sweep_with_report;
 
     fn mesh(px: usize, py: usize) -> Mesh2D {
         Mesh2D::new(px, py, CostModel::paragon())
+    }
+
+    /// One phase through the faulty per-call driver.
+    fn faulty(sim: &mut PhaseSim, msgs: &[PMsg], plan: &FaultPlan) -> FaultReport {
+        sim.simulate(&[msgs.to_vec()], plan, SchedulePolicy::default(), None)
+    }
+
+    fn recovering(
+        sim: &mut PhaseSim,
+        phases: &[Vec<PMsg>],
+        plan: &FaultPlan,
+        policy: &CheckpointPolicy,
+    ) -> FaultReport {
+        sim.simulate(phases, plan, SchedulePolicy::default(), Some(policy))
     }
 
     fn mixed_phase(mesh: &Mesh2D, n: usize, seed: u64) -> Vec<PMsg> {
@@ -1577,7 +1353,10 @@ mod tests {
         let msgs = mixed_phase(&m, 40, 3);
         let cached = CachedPhase::new(&m, &msgs);
         let mut sim = PhaseSim::new(m.clone());
-        assert_eq!(sim.run_cached(&cached), m.simulate_phase(&msgs));
+        assert_eq!(
+            sim.run_cached_phases(std::slice::from_ref(&cached), ScheduleMode::Phased, 1),
+            m.simulate_phase(&msgs)
+        );
         // Scaled replay equals simulating the scaled message set.
         let scaled: Vec<PMsg> = msgs
             .iter()
@@ -1587,7 +1366,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            sim.run_cached_scaled(&cached, 16),
+            sim.run_cached_phases(std::slice::from_ref(&cached), ScheduleMode::Phased, 16),
             m.simulate_phase(&scaled)
         );
         assert_eq!(
@@ -1603,8 +1382,15 @@ mod tests {
             .map(|s| mixed_phase(&m, 10 + s as usize, s))
             .collect();
         let serial: Vec<u64> = phases.iter().map(|p| m.simulate_phase(p)).collect();
-        assert_eq!(simulate_phases_batch(&m, &phases, 4), serial);
-        assert_eq!(simulate_phases_batch(&m, &phases, 1), serial);
+        for threads in [4, 1] {
+            let (got, _) = par_sweep_with_report(
+                &phases,
+                threads,
+                || PhaseSim::new(m.clone()),
+                |sim, phase| sim.simulate_phase(phase),
+            );
+            assert_eq!(got, serial);
+        }
     }
 
     #[test]
@@ -1614,7 +1400,7 @@ mod tests {
         let plan = crate::FaultPlan::none();
         for seed in 0..10 {
             let msgs = mixed_phase(&m, 4 * seed as usize, seed);
-            let rep = sim.simulate_phase_faulty(&msgs, &plan);
+            let rep = faulty(&mut sim, &msgs, &plan);
             assert_eq!(rep.makespan, m.simulate_phase(&msgs), "seed {seed}");
             assert_eq!(rep.delivered, rep.messages);
             assert_eq!(rep.lost, 0);
@@ -1631,7 +1417,7 @@ mod tests {
         let mut sim = PhaseSim::new(m.clone());
         let plan = crate::FaultPlan::with_drop(7, 1.0);
         let msgs = mixed_phase(&m, 20, 3);
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&mut sim, &msgs, &plan);
         assert_eq!(rep.delivered, rep.messages);
         assert_eq!(rep.lost, 0);
         assert_eq!(rep.escalations as usize, rep.messages);
@@ -1648,7 +1434,7 @@ mod tests {
             ..crate::FaultPlan::with_drop(7, 1.0)
         };
         let msgs = mixed_phase(&m, 20, 3);
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&mut sim, &msgs, &plan);
         assert_eq!(rep.delivered, 0);
         assert_eq!(rep.lost, rep.messages);
         assert_eq!(rep.delivered_fraction(), 0.0);
@@ -1664,14 +1450,14 @@ mod tests {
             ..crate::FaultPlan::with_drop(99, 0.3)
         };
         let msgs = mixed_phase(&m, 30, 5);
-        let a = sim.simulate_phase_faulty(&msgs, &plan);
-        let b = sim.simulate_phase_faulty(&msgs, &plan);
+        let a = faulty(&mut sim, &msgs, &plan);
+        let b = faulty(&mut sim, &msgs, &plan);
         assert_eq!(a, b, "same plan must replay identically");
         let other = crate::FaultPlan {
             seed: 100,
             ..plan.clone()
         };
-        let c = sim.simulate_phase_faulty(&msgs, &other);
+        let c = faulty(&mut sim, &msgs, &other);
         assert!(
             a != c || a.attempts == a.messages as u64,
             "different seeds should draw different fault sequences"
@@ -1694,7 +1480,7 @@ mod tests {
             from: 0,
             until: u64::MAX / 2,
         });
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&mut sim, &msg, &plan);
         assert_eq!(rep.delivered, 1);
         assert_eq!(rep.reroutes, 1);
         assert_eq!(rep.deferrals, 0);
@@ -1717,7 +1503,7 @@ mod tests {
             from: 0,
             until: 5_000_000,
         });
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&mut sim, &msg, &plan);
         assert_eq!(rep.delivered, 1);
         assert!(rep.deferrals > 0);
         assert_eq!(rep.makespan, 5_000_000 + m.simulate_phase(&msg));
@@ -1738,7 +1524,7 @@ mod tests {
             from: 0,
             until: 1_000_000,
         });
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&mut sim, &msg, &plan);
         assert_eq!(rep.delivered, 1);
         assert!(rep.deferrals > 0);
         assert_eq!(rep.makespan, 1_000_000 + m.simulate_phase(&msg));
@@ -1753,7 +1539,7 @@ mod tests {
             ..crate::FaultPlan::none()
         };
         let msgs = mixed_phase(&m, 20, 11);
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&mut sim, &msgs, &plan);
         assert_eq!(rep.delivered, rep.messages);
         assert_eq!(rep.duplicates as usize, rep.messages);
         assert_eq!(rep.attempts as usize, 2 * rep.messages);
@@ -1766,12 +1552,17 @@ mod tests {
         let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..4).map(|s| mixed_phase(&m, 10, s)).collect();
         let plan = crate::FaultPlan::with_drop(5, 0.4);
-        let a = sim.simulate_phases_faulty(&phases, &plan);
-        let b = sim.simulate_phases_faulty(&phases, &plan);
+        let a = sim.simulate(&phases, &plan, SchedulePolicy::default(), None);
+        let b = sim.simulate(&phases, &plan, SchedulePolicy::default(), None);
         assert_eq!(a, b);
         assert_eq!(a.delivered, a.messages, "retry must deliver everything");
         // Zero-fault multi-phase equals the unfaulted total.
-        let rep = sim.simulate_phases_faulty(&phases, &crate::FaultPlan::none());
+        let rep = sim.simulate(
+            &phases,
+            &crate::FaultPlan::none(),
+            SchedulePolicy::default(),
+            None,
+        );
         assert_eq!(rep.makespan, m.simulate_phases(&phases));
     }
 
@@ -1793,7 +1584,7 @@ mod tests {
                 bytes: 64,
             },
         ];
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&mut sim, &msgs, &plan);
         assert_eq!(rep.messages, 2);
         assert_eq!(rep.delivered, 1);
         assert_eq!(rep.lost, 1);
@@ -1806,16 +1597,16 @@ mod tests {
         let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..10).map(|s| mixed_phase(&m, 12, s)).collect();
         let policy = CheckpointPolicy::default();
-        let rep = sim.simulate_phases_recovering(&phases, &crate::FaultPlan::none(), &policy);
+        let rep = recovering(&mut sim, &phases, &crate::FaultPlan::none(), &policy);
         assert_eq!(rep.makespan, m.simulate_phases(&phases));
         assert_eq!(rep.recovery.rollbacks, 0);
         assert_eq!(rep.recovery.lost_work_ns, 0);
         assert!(rep.recovery.checkpoints > 0);
         assert!(rep.wall_clock_ns() > rep.makespan, "overhead is accounted");
-        // Transport faults without deaths: same as simulate_phases_faulty.
+        // Transport faults without deaths: same as the faulty run.
         let plan = crate::FaultPlan::with_drop(3, 0.2);
-        let a = sim.simulate_phases_recovering(&phases, &plan, &policy);
-        let b = sim.simulate_phases_faulty(&phases, &plan);
+        let a = recovering(&mut sim, &phases, &plan, &policy);
+        let b = sim.simulate(&phases, &plan, SchedulePolicy::default(), None);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.delivered, b.delivered);
     }
@@ -1832,7 +1623,7 @@ mod tests {
             t: healthy / 2,
         });
         plan.detection_latency = 10_000;
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let rep = recovering(&mut sim, &phases, &plan, &CheckpointPolicy::default());
         assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         assert_eq!(rep.recovery.deaths, 1);
         assert_eq!(rep.recovery.rollbacks, 1);
@@ -1845,7 +1636,7 @@ mod tests {
         assert_eq!(rep.lost, 0);
         assert_eq!(rep.black_holes, 0);
         // Determinism: the identical plan replays bit-for-bit.
-        let again = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let again = recovering(&mut sim, &phases, &plan, &CheckpointPolicy::default());
         assert_eq!(rep, again);
     }
 
@@ -1863,7 +1654,7 @@ mod tests {
             t: healthy.saturating_sub(1),
         });
         plan.detection_latency = u64::MAX / 2;
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let rep = recovering(&mut sim, &phases, &plan, &CheckpointPolicy::default());
         assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         assert_eq!(rep.delivered, rep.messages);
     }
@@ -1893,8 +1684,8 @@ mod tests {
             ring: 1,
             cost_ns: 0,
         };
-        let a = sim.simulate_phases_recovering(&phases, &plan, &deep);
-        let b = sim.simulate_phases_recovering(&phases, &plan, &shallow);
+        let a = recovering(&mut sim, &phases, &plan, &deep);
+        let b = recovering(&mut sim, &phases, &plan, &shallow);
         assert!(a.recovery.all_recovered());
         assert!(b.recovery.all_recovered());
         // With ring=1 the only snapshot is the most recent boundary,
@@ -1925,8 +1716,8 @@ mod tests {
             ring: 64,
             cost_ns: 25_000,
         };
-        let a = sim.simulate_phases_recovering(&phases, &plan, &fine);
-        let b = sim.simulate_phases_recovering(&phases, &plan, &coarse);
+        let a = recovering(&mut sim, &phases, &plan, &fine);
+        let b = recovering(&mut sim, &phases, &plan, &coarse);
         assert!(a.recovery.checkpoints > b.recovery.checkpoints);
         assert!(a.recovery.checkpoint_overhead_ns > b.recovery.checkpoint_overhead_ns);
         assert!(
@@ -1952,7 +1743,7 @@ mod tests {
             node: 10,
             t: healthy / 2,
         });
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let rep = recovering(&mut sim, &phases, &plan, &CheckpointPolicy::default());
         assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         assert_eq!(rep.recovery.deaths, 2);
         assert_eq!(rep.recovery.folded_nodes, 2);
@@ -1978,14 +1769,13 @@ mod tests {
             dup_prob: 1.0,
             ..crate::FaultPlan::none()
         };
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&mut sim, &msg, &plan);
         assert_eq!(rep.makespan, 2 * m.cost.p2p(3, 64));
         assert_eq!(rep.duplicates, 1);
         assert_eq!(rep.attempts, 2);
         // The compiled replay agrees bit for bit.
-        let cached = CachedFaultPhase::new(&m, &msg);
-        let compiled = CompiledFaultPlan::new(&plan, &m);
-        assert_eq!(sim.run_cached_faulty(&cached, &compiled, plan.seed), rep);
+        let mut engine = FaultSim::new(&m, &[msg.to_vec()], &plan);
+        assert_eq!(engine.run_faulty(plan.seed, SchedulePolicy::default()), rep);
     }
 
     #[test]
@@ -2026,7 +1816,7 @@ mod tests {
             };
             assert_eq!(
                 engine.run_faulty(seed, SchedulePolicy::default()),
-                sim.simulate_phases_faulty(&phases, &seeded),
+                sim.simulate(&phases, &seeded, SchedulePolicy::default(), None),
                 "seed {seed}"
             );
         }
@@ -2073,7 +1863,7 @@ mod tests {
             };
             assert_eq!(
                 engine.run_recovering(&policy, seed, SchedulePolicy::default()),
-                sim.simulate_phases_recovering(&phases, &seeded, &policy),
+                recovering(&mut sim, &phases, &seeded, &policy),
                 "seed {seed}"
             );
         }

@@ -345,10 +345,11 @@ pub fn fault_plan_from_json(v: &JsonValue) -> Restore<FaultPlan> {
 
 // --- cached phase ----------------------------------------------------------
 
-/// Serialize a [`CachedPhase`]: the five flat vectors, verbatim.
+/// Serialize a [`CachedPhase`]: the six flat vectors, verbatim.
 pub fn cached_phase_to_json(p: &CachedPhase) -> JsonValue {
     obj(vec![
         ("links", u32_vec_json(&p.links)),
+        ("yx_links", u32_vec_json(&p.yx_links)),
         ("offsets", u32_vec_json(&p.offsets)),
         ("bytes", u64_vec_json(&p.bytes)),
         ("src", u32_vec_json(&p.src)),
@@ -357,11 +358,12 @@ pub fn cached_phase_to_json(p: &CachedPhase) -> JsonValue {
 }
 
 /// Restore a [`CachedPhase`], validating the internal consistency the
-/// replay engines rely on (monotone offsets bracketing `links`, parallel
-/// message arrays of equal length).
+/// replay engines rely on (monotone offsets bracketing both route
+/// tables, parallel message arrays of equal length).
 pub fn cached_phase_from_json(v: &JsonValue) -> Restore<CachedPhase> {
     let w = "cached_phase";
     let links = u32_vec_restore(v, "links", w)?;
+    let yx_links = u32_vec_restore(v, "yx_links", w)?;
     let offsets = u32_vec_restore(v, "offsets", w)?;
     let bytes = u64_vec_restore(v, "bytes", w)?;
     let src = u32_vec_restore(v, "src", w)?;
@@ -370,6 +372,11 @@ pub fn cached_phase_from_json(v: &JsonValue) -> Restore<CachedPhase> {
     if src.len() != n || dst.len() != n {
         return Err(SnapshotError::new(
             "cached_phase: bytes/src/dst lengths disagree",
+        ));
+    }
+    if yx_links.len() != links.len() {
+        return Err(SnapshotError::new(
+            "cached_phase: links/yx_links lengths disagree",
         ));
     }
     if offsets.len() != n + 1
@@ -383,6 +390,7 @@ pub fn cached_phase_from_json(v: &JsonValue) -> Restore<CachedPhase> {
     }
     Ok(CachedPhase {
         links,
+        yx_links,
         offsets,
         bytes,
         src,
@@ -506,12 +514,17 @@ mod tests {
         let text = cached_phase_to_json(&phase).render();
         let back = cached_phase_from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back.links, phase.links);
+        assert_eq!(back.yx_links, phase.yx_links);
         assert_eq!(back.offsets, phase.offsets);
         assert_eq!(back.bytes, phase.bytes);
         assert_eq!(back.src, phase.src);
         assert_eq!(back.dst, phase.dst);
         let mut sim = PhaseSim::new(m);
-        assert_eq!(sim.run_cached(&back), sim.run_cached(&phase));
+        let phased = crate::ScheduleMode::Phased;
+        assert_eq!(
+            sim.run_cached_phases(std::slice::from_ref(&back), phased, 1),
+            sim.run_cached_phases(std::slice::from_ref(&phase), phased, 1)
+        );
     }
 
     #[test]
@@ -530,6 +543,11 @@ mod tests {
         let broken = good.replace("\"src\": [0]", "\"src\": [0, 1]");
         let e = cached_phase_from_json(&parse(&broken).unwrap()).unwrap_err();
         assert!(e.msg.contains("lengths disagree"), "{e}");
+        // A YX route table of another length than the XY one.
+        assert!(good.contains("\"yx_links\": ["), "{good}");
+        let broken = good.replace("\"yx_links\": [", "\"yx_links\": [0, ");
+        let e = cached_phase_from_json(&parse(&broken).unwrap()).unwrap_err();
+        assert!(e.msg.contains("links/yx_links lengths disagree"), "{e}");
         // Corrupt the offsets bracket.
         let broken = good.replace("\"offsets\": [0, ", "\"offsets\": [1, ");
         let e = cached_phase_from_json(&parse(&broken).unwrap()).unwrap_err();

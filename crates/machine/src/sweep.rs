@@ -5,11 +5,12 @@
 //! The benchmark harness evaluates many (machine, distribution, k, size)
 //! configurations; each simulation is independent, so we shard them over
 //! the pool's per-worker deques — results land in pre-sized slots, in
-//! input order, bit-identical for every worker count. [`par_sweep_with`]
-//! additionally gives every worker a private scratch state (e.g. a
-//! [`crate::PhaseSim`]), so per-simulation allocations are paid once per
-//! worker instead of once per configuration. The Monte Carlo drivers
-//! ([`par_fault_sweep`], [`par_recovery_sweep`]) shard at plan×seed
+//! input order, bit-identical for every worker count.
+//! [`par_sweep_with_report`] gives every worker a private scratch state
+//! (e.g. a [`crate::PhaseSim`]), so per-simulation allocations are paid
+//! once per worker instead of once per configuration. The Monte Carlo
+//! drivers ([`par_fault_sweep_report`], [`par_recovery_sweep_report`])
+//! shard at plan×seed
 //! granularity and refold the per-replication reports serially, so their
 //! Welford statistics stay bit-identical to a serial run even though the
 //! replications of one plan may run on different workers.
@@ -50,36 +51,14 @@ pub fn mttf_death_schedule(
     deaths
 }
 
-/// Run `f` over every config on `threads` worker threads (chunked
-/// statically), preserving input order in the output.
-pub fn par_sweep<C, R, F>(configs: &[C], threads: usize, f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send + Default + Clone,
-    F: Fn(&C) -> R + Sync,
-{
-    par_sweep_with(configs, threads, || (), |(), c| f(c))
-}
-
-/// Like [`par_sweep`], but each worker first builds a private scratch
-/// state with `init` and threads it through every task it claims or
-/// steals — the pattern used to amortize simulator allocations across a
-/// sweep. Runs on the shared work-stealing pool; `threads` is clamped to
-/// `[1, n]` (use [`par_sweep_with_report`] when the caller needs the
-/// effective worker count back).
-pub fn par_sweep_with<C, R, S, I, F>(configs: &[C], threads: usize, init: I, f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send + Default + Clone,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &C) -> R + Sync,
-{
-    par_sweep_with_report(configs, threads, init, f).0
-}
-
-/// [`par_sweep_with`] plus the execution report: how many workers
-/// actually ran (after clamping), the grain, and the steal count — so
-/// benches compute efficiency against workers used, never requested.
+/// Run `f` over every config on the shared work-stealing pool,
+/// preserving input order in the output. Each worker first builds a
+/// private scratch state with `init` and threads it through every task
+/// it claims or steals — the pattern used to amortize simulator
+/// allocations across a sweep. `threads` is clamped to `[1, n]`; the
+/// returned [`SweepReport`] tells how many workers actually ran, the
+/// grain, and the steal count — so benches compute efficiency against
+/// workers used, never requested.
 pub fn par_sweep_with_report<C, R, S, I, F>(
     configs: &[C],
     threads: usize,
@@ -220,19 +199,7 @@ impl FaultSweepStats {
 /// plan boundary ([`FaultSim::set_plan`]; the phase compilation is
 /// reused) — and the per-replication reports are refolded serially in
 /// `(plan, rep)` order, so the result is **bit-identical** whatever
-/// `threads` is.
-pub fn par_fault_sweep(
-    mesh: &Mesh2D,
-    phases: &[Vec<PMsg>],
-    plans: &[FaultPlan],
-    replications: usize,
-    threads: usize,
-    sched: SchedulePolicy,
-) -> Vec<FaultSweepStats> {
-    par_fault_sweep_report(mesh, phases, plans, replications, threads, sched).0
-}
-
-/// [`par_fault_sweep`] plus the pool's [`SweepReport`].
+/// `threads` is. Returns the pool's [`SweepReport`] alongside.
 pub fn par_fault_sweep_report(
     mesh: &Mesh2D,
     phases: &[Vec<PMsg>],
@@ -251,22 +218,9 @@ pub fn par_fault_sweep_report(
     )
 }
 
-/// [`par_fault_sweep`] for the checkpoint/rollback path: every
+/// [`par_fault_sweep_report`] for the checkpoint/rollback path: every
 /// replication goes through [`FaultSim::run_recovering`] under `policy`
 /// and `sched`.
-pub fn par_recovery_sweep(
-    mesh: &Mesh2D,
-    phases: &[Vec<PMsg>],
-    plans: &[FaultPlan],
-    policy: &CheckpointPolicy,
-    replications: usize,
-    threads: usize,
-    sched: SchedulePolicy,
-) -> Vec<FaultSweepStats> {
-    par_recovery_sweep_report(mesh, phases, plans, policy, replications, threads, sched).0
-}
-
-/// [`par_recovery_sweep`] plus the pool's [`SweepReport`].
 pub fn par_recovery_sweep_report(
     mesh: &Mesh2D,
     phases: &[Vec<PMsg>],
@@ -341,10 +295,19 @@ mod tests {
     use crate::model::{CostModel, PMsg};
     use crate::phasesim::PhaseSim;
 
+    /// A sweep with no scratch state.
+    fn sweep_plain<C: Sync, R: Send + Default + Clone>(
+        configs: &[C],
+        threads: usize,
+        f: impl Fn(&C) -> R + Sync,
+    ) -> Vec<R> {
+        par_sweep_with_report(configs, threads, || (), |(), c| f(c)).0
+    }
+
     #[test]
     fn preserves_order_and_values() {
         let configs: Vec<u64> = (0..100).collect();
-        let got = par_sweep(&configs, 8, |&c| c * 2);
+        let got = sweep_plain(&configs, 8, |&c| c * 2);
         let want: Vec<u64> = configs.iter().map(|c| c * 2).collect();
         assert_eq!(got, want);
     }
@@ -363,19 +326,19 @@ mod tests {
                 .collect();
             m.simulate_phase(&msgs)
         };
-        assert_eq!(par_sweep(&configs, 1, f), par_sweep(&configs, 7, f));
+        assert_eq!(sweep_plain(&configs, 1, f), sweep_plain(&configs, 7, f));
     }
 
     #[test]
     fn empty_input() {
-        let got: Vec<u64> = par_sweep(&Vec::<u64>::new(), 4, |&c| c);
+        let got: Vec<u64> = sweep_plain(&Vec::<u64>::new(), 4, |&c| c);
         assert!(got.is_empty());
     }
 
     #[test]
     fn more_threads_than_work() {
         let configs = vec![1u64, 2];
-        assert_eq!(par_sweep(&configs, 64, |&c| c + 1), vec![2, 3]);
+        assert_eq!(sweep_plain(&configs, 64, |&c| c + 1), vec![2, 3]);
     }
 
     #[test]
@@ -413,8 +376,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let plain = par_sweep(&phases, 3, |p| mesh.simulate_phase(p));
-        let scratch = par_sweep_with(
+        let plain = sweep_plain(&phases, 3, |p| mesh.simulate_phase(p));
+        let (scratch, _) = par_sweep_with_report(
             &phases,
             3,
             || PhaseSim::new(mesh.clone()),
@@ -478,11 +441,11 @@ mod tests {
             .map(|(i, &p)| FaultPlan::with_drop(40 + i as u64, p))
             .collect();
         let sched = SchedulePolicy::default();
-        let serial = par_fault_sweep(&mesh, &phases, &plans, 6, 1, sched);
+        let serial = par_fault_sweep_report(&mesh, &phases, &plans, 6, 1, sched).0;
         for threads in [2, 3, 8] {
             assert_eq!(
                 serial,
-                par_fault_sweep(&mesh, &phases, &plans, 6, threads, sched),
+                par_fault_sweep_report(&mesh, &phases, &plans, 6, threads, sched).0,
                 "threads = {threads}"
             );
         }
@@ -491,7 +454,7 @@ mod tests {
         let mut sim = PhaseSim::new(mesh.clone());
         for (plan, stats) in plans.iter().zip(&serial) {
             assert_eq!(stats.replications, 6);
-            let classic = sim.simulate_phases_faulty(&phases, plan);
+            let classic = sim.simulate(&phases, plan, sched, None);
             assert!(stats.makespan.min() <= classic.makespan as f64);
             assert!(stats.makespan.max() >= classic.makespan as f64);
             assert_eq!(stats.total.messages, 6 * classic.messages);
@@ -524,10 +487,10 @@ mod tests {
             .collect();
         let policy = CheckpointPolicy::default();
         let sched = SchedulePolicy::default();
-        let serial = par_recovery_sweep(&mesh, &phases, &plans, &policy, 4, 1, sched);
+        let serial = par_recovery_sweep_report(&mesh, &phases, &plans, &policy, 4, 1, sched).0;
         assert_eq!(
             serial,
-            par_recovery_sweep(&mesh, &phases, &plans, &policy, 4, 4, sched)
+            par_recovery_sweep_report(&mesh, &phases, &plans, &policy, 4, 4, sched).0
         );
         for stats in &serial {
             assert_eq!(stats.replications, 4);

@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 use rescomm_machine::{
-    par_fault_sweep, par_recovery_sweep, replication_seed, simulate_phases_batch, trace_phase,
-    CachedFaultPhase, CachedPhase, CheckpointPolicy, CompiledFaultPlan, CostModel, FatTree,
-    FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D, NodeDeath, NodeOutage, OverlapOrder,
-    PMsg, PhaseSim, RetryPolicy, ScheduleMode, SchedulePolicy,
+    par_fault_sweep_report, par_recovery_sweep_report, par_sweep_with_report, replication_seed,
+    trace_phase, CachedPhase, CheckpointPolicy, CompiledFaultPlan, CostModel, FatTree, FaultPlan,
+    FaultReport, FaultSim, LinkOutage, Mesh2D, NodeDeath, NodeOutage, OverlapOrder, PMsg, PhaseSim,
+    RetryPolicy, ScheduleMode, SchedulePolicy,
 };
 
 /// Every schedule policy the fault engines dispatch over — indexed so
@@ -20,6 +20,16 @@ fn policy(idx: u32) -> SchedulePolicy {
             inflation_threshold: 1.2,
         },
     }
+}
+
+/// One phase through the per-call faulty driver.
+fn faulty_phase(sim: &mut PhaseSim, msgs: &[PMsg], plan: &FaultPlan) -> FaultReport {
+    sim.simulate(&[msgs.to_vec()], plan, SchedulePolicy::default(), None)
+}
+
+/// The fixed overlapped policy under `order`.
+fn overlapped(order: OverlapOrder) -> SchedulePolicy {
+    SchedulePolicy::Fixed(ScheduleMode::Overlapped(order))
 }
 
 fn msgs(n_nodes: usize) -> impl Strategy<Value = Vec<PMsg>> {
@@ -186,13 +196,13 @@ proptest! {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let cached = CachedPhase::new(&mesh, &ms);
         let mut sim = PhaseSim::new(mesh.clone());
-        prop_assert_eq!(sim.run_cached(&cached), mesh.simulate_phase(&ms));
+        prop_assert_eq!(sim.run_cached_phases(std::slice::from_ref(&cached), ScheduleMode::Phased, 1), mesh.simulate_phase(&ms));
         let scaled: Vec<PMsg> = ms
             .iter()
             .map(|m| PMsg { bytes: m.bytes * scale, ..*m })
             .collect();
         prop_assert_eq!(
-            sim.run_cached_scaled(&cached, scale),
+            sim.run_cached_phases(std::slice::from_ref(&cached), ScheduleMode::Phased, scale),
             mesh.simulate_phase(&scaled)
         );
     }
@@ -204,7 +214,13 @@ proptest! {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let phases = vec![a, b];
         let want: Vec<u64> = phases.iter().map(|p| mesh.simulate_phase(p)).collect();
-        prop_assert_eq!(simulate_phases_batch(&mesh, &phases, threads), want);
+        let (got, _) = par_sweep_with_report(
+            &phases,
+            threads,
+            || PhaseSim::new(mesh.clone()),
+            |sim, p| sim.simulate_phase(p),
+        );
+        prop_assert_eq!(got, want);
     }
 
     /// With retries enabled, *any* fault plan delivers every message
@@ -215,14 +231,14 @@ proptest! {
     fn faulty_delivery_guarantee(ms in msgs(32), plan in plans()) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let mut sim = PhaseSim::new(mesh.clone());
-        let rep = sim.simulate_phase_faulty(&ms, &plan);
+        let rep = faulty_phase(&mut sim, &ms, &plan);
         prop_assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
         prop_assert_eq!(rep.lost, 0);
         prop_assert!(rep.delivered_fraction() == 1.0);
         prop_assert!(rep.attempts >= rep.messages as u64);
         prop_assert!(rep.makespan >= mesh.simulate_phase(&ms), "faults cannot speed up a phase");
         // Determinism: replaying the identical plan reproduces the report.
-        prop_assert_eq!(rep, sim.simulate_phase_faulty(&ms, &plan));
+        prop_assert_eq!(rep, faulty_phase(&mut sim, &ms, &plan));
     }
 
     /// A zero-fault plan is bit-identical in makespan to the unfaulted
@@ -234,14 +250,14 @@ proptest! {
         let plan = FaultPlan { seed, ..FaultPlan::none() };
         prop_assert!(plan.is_zero_fault());
         for ms in [&a, &b] {
-            let rep = sim.simulate_phase_faulty(ms, &plan);
+            let rep = faulty_phase(&mut sim, ms, &plan);
             prop_assert_eq!(rep.makespan, sim.simulate_phase(ms));
             prop_assert_eq!(rep.makespan, mesh.simulate_phase(ms));
             prop_assert_eq!(rep.retries + rep.duplicates + rep.reroutes + rep.deferrals, 0);
         }
         // Multi-phase: sums match too.
         let phases = vec![a.clone(), b.clone()];
-        let rep = sim.simulate_phases_faulty(&phases, &plan);
+        let rep = sim.simulate(&phases, &plan, SchedulePolicy::default(), None);
         prop_assert_eq!(rep.makespan, mesh.simulate_phases(&phases));
     }
 
@@ -252,7 +268,7 @@ proptest! {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let mut sim = PhaseSim::new(mesh.clone());
         let plan = FaultPlan { retry: RetryPolicy::disabled(), ..plan };
-        let rep = sim.simulate_phase_faulty(&ms, &plan);
+        let rep = faulty_phase(&mut sim, &ms, &plan);
         prop_assert_eq!(rep.delivered + rep.lost, rep.messages);
         prop_assert_eq!(rep.escalations, 0);
         prop_assert_eq!(rep.retries, 0);
@@ -281,13 +297,13 @@ proptest! {
         }
         let phases = vec![a, b, c];
         let policy = CheckpointPolicy { interval, ring, ..CheckpointPolicy::default() };
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &policy);
+        let rep = sim.simulate(&phases, &plan, SchedulePolicy::default(), Some(&policy));
         prop_assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         prop_assert!(rep.recovery.deaths <= plan.node_deaths.len());
         prop_assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
         prop_assert_eq!(rep.black_holes, 0, "folding leaves no black holes");
         prop_assert!(rep.wall_clock_ns() >= rep.makespan);
-        prop_assert_eq!(rep, sim.simulate_phases_recovering(&phases, &plan, &policy));
+        prop_assert_eq!(rep, sim.simulate(&phases, &plan, SchedulePolicy::default(), Some(&policy)));
     }
 
     /// With no deaths in the plan, the recovering driver is bit-identical
@@ -304,8 +320,8 @@ proptest! {
         let mut sim = PhaseSim::new(mesh);
         let phases = vec![a, b];
         let policy = CheckpointPolicy { interval, ring, ..CheckpointPolicy::default() };
-        let rec = sim.simulate_phases_recovering(&phases, &plan, &policy);
-        let base = sim.simulate_phases_faulty(&phases, &plan);
+        let rec = sim.simulate(&phases, &plan, SchedulePolicy::default(), Some(&policy));
+        let base = sim.simulate(&phases, &plan, SchedulePolicy::default(), None);
         prop_assert_eq!(rec.makespan, base.makespan);
         prop_assert_eq!(rec.delivered, base.delivered);
         prop_assert_eq!(rec.lost, base.lost);
@@ -372,7 +388,7 @@ proptest! {
             let seeded = FaultPlan { seed, ..plan.clone() };
             prop_assert_eq!(
                 *got,
-                sim.simulate_phases_faulty_policy(&phases, &seeded, sched),
+                sim.simulate(&phases, &seeded, sched, None),
                 "seed {} sched {:?}", seed, sched
             );
         }
@@ -408,7 +424,7 @@ proptest! {
             let seeded = FaultPlan { seed, ..plan.clone() };
             prop_assert_eq!(
                 *got,
-                sim.simulate_phases_recovering_policy(&phases, &seeded, &policy, sched),
+                sim.simulate(&phases, &seeded, sched, Some(&policy)),
                 "seed {} sched {:?}", seed, sched
             );
         }
@@ -435,7 +451,7 @@ proptest! {
             summed.absorb(rep);
         }
         let mut sim = PhaseSim::new(mesh.clone());
-        prop_assert_eq!(summed, sim.simulate_phases_faulty(&phases, &plan));
+        prop_assert_eq!(summed, sim.simulate(&phases, &plan, SchedulePolicy::default(), None));
         // Replace the middle phase: streams 0 and 2 must not move.
         let swapped = vec![a.clone(), replacement.clone(), c.clone()];
         let swapped_reps =
@@ -451,7 +467,7 @@ proptest! {
         prop_assert_eq!(&extended_reps[..3], &base[..]);
     }
 
-    /// `par_fault_sweep` is bit-identical to serial evaluation order at
+    /// `par_fault_sweep_report` is bit-identical to serial evaluation order at
     /// any thread count, and replication 0 of every configuration is the
     /// plan's own single-seed run.
     #[test]
@@ -468,14 +484,14 @@ proptest! {
             .iter()
             .map(|&seed| FaultPlan::with_drop(seed, f64::from(drop_pct) / 100.0))
             .collect();
-        let serial = par_fault_sweep(&mesh, &phases, &plans, replications, 1, SchedulePolicy::default());
-        let parallel = par_fault_sweep(&mesh, &phases, &plans, replications, threads, SchedulePolicy::default());
+        let serial = par_fault_sweep_report(&mesh, &phases, &plans, replications, 1, SchedulePolicy::default()).0;
+        let parallel = par_fault_sweep_report(&mesh, &phases, &plans, replications, threads, SchedulePolicy::default()).0;
         prop_assert_eq!(&serial, &parallel);
         let mut sim = PhaseSim::new(mesh.clone());
         for (plan, stats) in plans.iter().zip(&serial) {
             prop_assert_eq!(stats.replications, replications);
             prop_assert_eq!(replication_seed(plan.seed, 0), plan.seed);
-            let classic = sim.simulate_phases_faulty(&phases, plan);
+            let classic = sim.simulate(&phases, plan, SchedulePolicy::default(), None);
             prop_assert!(stats.makespan.min() <= classic.makespan as f64);
             prop_assert!(stats.makespan.max() >= classic.makespan as f64);
         }
@@ -584,7 +600,7 @@ proptest! {
         let phases = vec![a, b, c];
         let order = if longest == 1 { OverlapOrder::LongestFirst } else { OverlapOrder::Sorted };
         let healthy = sim.simulate_phases_overlapped(&phases, order);
-        let rep = sim.simulate_phases_overlapped_faulty(&phases, &plan, order);
+        let rep = sim.simulate(&phases, &plan, overlapped(order), None);
         prop_assert_eq!(rep.makespan, healthy);
         prop_assert_eq!(rep.delivered, rep.messages);
         prop_assert_eq!(rep.retries + rep.duplicates + rep.reroutes + rep.deferrals, 0);
@@ -592,7 +608,7 @@ proptest! {
         // Policy dispatch agrees with the mode it names.
         for idx in 0..4u32 {
             let sched = policy(idx);
-            let got = sim.simulate_phases_faulty_policy(&phases, &plan, sched);
+            let got = sim.simulate(&phases, &plan, sched, None);
             prop_assert_eq!(
                 got.makespan,
                 sim.simulate_phases_mode(&phases, sched.healthy_mode()),
@@ -630,8 +646,8 @@ proptest! {
         let phases = vec![a, b, c];
         let ckpt = CheckpointPolicy { interval, ring, ..CheckpointPolicy::default() };
         // Zero-death: bit-identical to the overlapped faulty engine.
-        let rec = sim.simulate_phases_overlapped_recovering(&phases, &plan, &ckpt, order);
-        let base = sim.simulate_phases_overlapped_faulty(&phases, &plan, order);
+        let rec = sim.simulate(&phases, &plan, overlapped(order), Some(&ckpt));
+        let base = sim.simulate(&phases, &plan, overlapped(order), None);
         prop_assert_eq!(rec.makespan, base.makespan);
         prop_assert_eq!(rec.delivered, base.delivered);
         prop_assert_eq!(rec.recovery.rollbacks, 0);
@@ -642,14 +658,14 @@ proptest! {
                 plan.node_deaths.push(NodeDeath { node, t });
             }
         }
-        let rep = sim.simulate_phases_overlapped_recovering(&phases, &plan, &ckpt, order);
+        let rep = sim.simulate(&phases, &plan, overlapped(order), Some(&ckpt));
         prop_assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         prop_assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
         prop_assert_eq!(rep.black_holes, 0, "folding leaves no black holes");
         prop_assert!(rep.wall_clock_ns() >= rep.makespan);
         prop_assert_eq!(
             rep,
-            sim.simulate_phases_overlapped_recovering(&phases, &plan, &ckpt, order)
+            sim.simulate(&phases, &plan, overlapped(order), Some(&ckpt))
         );
     }
 
@@ -673,15 +689,15 @@ proptest! {
         let phases = vec![a, b, c];
         let plans = [plan.clone(), FaultPlan { seed: plan.seed ^ 0xbeef, ..plan.clone() }];
         let ckpt = CheckpointPolicy::default();
-        let serial = par_fault_sweep(&mesh, &phases, &plans, 2, 1, sched);
+        let serial = par_fault_sweep_report(&mesh, &phases, &plans, 2, 1, sched).0;
         prop_assert_eq!(
             &serial,
-            &par_fault_sweep(&mesh, &phases, &plans, 2, threads, sched)
+            &par_fault_sweep_report(&mesh, &phases, &plans, 2, threads, sched).0
         );
-        let serial_rec = par_recovery_sweep(&mesh, &phases, &plans, &ckpt, 2, 1, sched);
+        let serial_rec = par_recovery_sweep_report(&mesh, &phases, &plans, &ckpt, 2, 1, sched).0;
         prop_assert_eq!(
             &serial_rec,
-            &par_recovery_sweep(&mesh, &phases, &plans, &ckpt, 2, threads, sched)
+            &par_recovery_sweep_report(&mesh, &phases, &plans, &ckpt, 2, threads, sched).0
         );
         // And the sweep's replication 0 is the engine's own run.
         let mut engine = FaultSim::new(&mesh, &phases, &plans[0]);
@@ -748,10 +764,11 @@ proptest! {
             prop_assert_eq!(back.node_dead_at(node, t), compiled.node_dead_at(node, t));
             prop_assert_eq!(back.node_alive_after(node, t), compiled.node_alive_after(node, t));
         }
-        let phase = CachedFaultPhase::new(&mesh, &a);
+        let phases = vec![a];
         let seed = replication_seed(plan.seed, 1);
-        let want = PhaseSim::new(mesh.clone()).run_cached_faulty(&phase, &compiled, seed);
-        let got = PhaseSim::new(mesh_back).run_cached_faulty(&phase, &back, seed);
+        let sched = SchedulePolicy::default();
+        let want = FaultSim::new(&mesh, &phases, compiled.plan()).run_faulty(seed, sched);
+        let got = FaultSim::new(&mesh_back, &phases, back.plan()).run_faulty(seed, sched);
         prop_assert_eq!(got, want);
     }
 
@@ -777,8 +794,8 @@ proptest! {
 
 // --- the work-stealing pool (the determinism contract, end to end) -------
 
+use rescomm_machine::par_schedule_sweep;
 use rescomm_machine::pool::{auto_grain, sweep};
-use rescomm_machine::{par_schedule_sweep, par_sweep_with};
 
 /// A pure task of tunable cost: `w` multiply-add rounds over a seed.
 fn spin(seed: u64, w: u64) -> u64 {
@@ -825,7 +842,7 @@ proptest! {
         prop_assert_eq!(report.grain, want_grain);
     }
 
-    /// `par_sweep_with` (the driver every entry point shares) under the
+    /// `par_sweep_with_report` (the driver every entry point shares) under the
     /// same skew, against a plain serial map.
     #[test]
     fn par_sweep_with_bit_identical_under_cost_skew(
@@ -833,7 +850,7 @@ proptest! {
         workers in 2usize..9,
     ) {
         let expect: Vec<u64> = weights.iter().map(|&w| spin(0xcafe, w)).collect();
-        let got = par_sweep_with(&weights, workers, || (), |(), &w| spin(0xcafe, w));
+        let (got, _) = par_sweep_with_report(&weights, workers, || (), |(), &w| spin(0xcafe, w));
         prop_assert_eq!(&got, &expect);
     }
 

@@ -14,7 +14,9 @@ use rescomm::{
     verify_execution_on, DegradedGrid, IncidentKind, MappingOptions,
 };
 use rescomm_loopnest::examples;
-use rescomm_machine::{CheckpointPolicy, CostModel, FaultPlan, Mesh2D, NodeDeath, PMsg, PhaseSim};
+use rescomm_machine::{
+    CheckpointPolicy, CostModel, FaultPlan, Mesh2D, NodeDeath, PMsg, PhaseSim, SchedulePolicy,
+};
 
 fn wrap(v: i64, n: usize) -> usize {
     v.rem_euclid(n as i64) as usize
@@ -64,14 +66,17 @@ fn paper_plan_survives_node_death_end_to_end() {
         ..FaultPlan::none()
     };
     let policy = CheckpointPolicy::default();
-    let rep = sim.simulate_phases_recovering(&phases, &plan, &policy);
+    let rep = sim.simulate(&phases, &plan, SchedulePolicy::default(), Some(&policy));
     assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
     assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
     assert_eq!(rep.black_holes, 0);
     assert_eq!(rep.recovery.folded_nodes, 1);
     assert!(rep.wall_clock_ns() >= rep.makespan);
     // Bit-exact determinism on the real schedule.
-    assert_eq!(rep, sim.simulate_phases_recovering(&phases, &plan, &policy));
+    assert_eq!(
+        rep,
+        sim.simulate(&phases, &plan, SchedulePolicy::default(), Some(&policy))
+    );
 }
 
 #[test]
@@ -81,8 +86,12 @@ fn zero_death_recovering_driver_matches_plan_simulation() {
     let phases = plan_phases(&nest, &mesh);
     let healthy = mesh.simulate_phases(&phases);
     let mut sim = PhaseSim::new(mesh);
-    let rep =
-        sim.simulate_phases_recovering(&phases, &FaultPlan::none(), &CheckpointPolicy::default());
+    let rep = sim.simulate(
+        &phases,
+        &FaultPlan::none(),
+        SchedulePolicy::default(),
+        Some(&CheckpointPolicy::default()),
+    );
     assert_eq!(rep.makespan, healthy, "zero-death run is bit-identical");
     assert_eq!(rep.recovery.rollbacks, 0);
     assert_eq!(rep.recovery.lost_work_ns, 0);
@@ -109,7 +118,7 @@ fn tiny_checkpoint_ring_still_recovers_the_paper_plan() {
         ring: 1,
         ..CheckpointPolicy::default()
     };
-    let rep = sim.simulate_phases_recovering(&phases, &plan, &policy);
+    let rep = sim.simulate(&phases, &plan, SchedulePolicy::default(), Some(&policy));
     assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
     assert_eq!(rep.delivered, rep.messages);
 }
